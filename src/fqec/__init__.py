@@ -17,19 +17,17 @@ from .fermion import (
     composite_edge,
     edge_vertex_required_parity,
     enumerate_hamiltonian_terms,
-    hopping_pauli_terms,
     loop_stabilizer,
     majorana_commute_parity,
     onsite_pauli_term,
 )
-from .lattice import EdgeSet, Scheme, UnitCellLayout, overlapping_shifts, slot_of, translate_word
+from .lattice import EdgeSet, Scheme, UnitCellLayout, slot_of, translate_word
 from .search_bruteforce import (
     HoppingCapMode,
     ParetoFront,
     SearchConfig,
     SearchReport,
     brute_force_search,
-    pareto_update,
     stochastic_gate,
 )
 from .search_clifford import (
@@ -47,7 +45,6 @@ from .symplectic import (
     format_pauli,
     multiply,
     parse_pauli,
-    span_insert,
     weight,
 )
 
@@ -85,7 +82,6 @@ __all__ = [
     "edge_vertex_required_parity",
     "enumerate_hamiltonian_terms",
     "format_pauli",
-    "hopping_pauli_terms",
     "is_logical",
     "loop_stabilizer",
     "majorana_commute_parity",
@@ -93,12 +89,9 @@ __all__ = [
     "multiply",
     "naive_min_distance",
     "onsite_pauli_term",
-    "overlapping_shifts",
-    "pareto_update",
     "parse_pauli",
     "sample_gate_set",
     "slot_of",
-    "span_insert",
     "stochastic_gate",
     "translate_word",
     "validate",

@@ -47,6 +47,27 @@ class ConfigError(ValueError):
     pass
 
 
+class _Parser(argparse.ArgumentParser):
+    """Argument parser whose usage errors exit with ``EXIT_USAGE``.
+
+    argparse's own exit code 2 would read as a budget-truncated run.
+    """
+
+    def error(self, message: str):
+        self.print_usage(sys.stderr)
+        raise ConfigError(f"{self.prog}: {message}")
+
+
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def parse_config_file(path: str) -> dict[str, str]:
     """Flat ``key = value`` lines; '#' starts a comment; keys are unique."""
     values: dict[str, str] = {}
@@ -221,9 +242,7 @@ def cmd_search(args: argparse.Namespace) -> int:
         out.write(dumps_document(encoding_to_document(enc, provenance)) + "\n")
 
     try:
-        report = brute_force_search(
-            cfg, sink, threads=args.threads, final_w_max=args.w_max, front=front
-        )
+        report = brute_force_search(cfg, sink, final_w_max=args.w_max, front=front)
     finally:
         if out is not sys.stdout:
             out.close()
@@ -245,9 +264,7 @@ def cmd_deform(args: argparse.Namespace) -> int:
         out.write(dumps_document(encoding_to_document(enc, merged)) + "\n")
 
     try:
-        report = clifford_deform_search(
-            cfg, sink, threads=args.threads, final_w_max=args.w_max, front=front
-        )
+        report = clifford_deform_search(cfg, sink, final_w_max=args.w_max, front=front)
     finally:
         if out is not sys.stdout:
             out.close()
@@ -259,8 +276,7 @@ def cmd_deform(args: argparse.Namespace) -> int:
 
 def cmd_distance(args: argparse.Namespace) -> int:
     enc = document_to_encoding(load_document(args.encoding))
-    budget = DistanceBudget(w_max=args.w_max, parallel_chunks=max(1, args.threads))
-    result = min_distance(enc, budget, threads=args.threads)
+    result = min_distance(enc, DistanceBudget(w_max=args.w_max))
     if args.format == "json":
         block = {"exact": result.value} if result.exact else {"at_least": result.value}
         print(json.dumps({"distance": block}))
@@ -355,14 +371,11 @@ def cmd_export(args: argparse.Namespace) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="fqec",
         description="Search and analyze translationally invariant fermion-to-qubit encodings.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--threads", type=int, default=1, help="worker threads (default 1)")
 
     p_search = sub.add_parser("search", help="run the brute-force encoding search")
     p_search.add_argument("config", help="flat key-value config file")
@@ -370,10 +383,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_search.add_argument("--front-output", help="write the final Pareto front (canonical order)")
     p_search.add_argument("--seed", type=int, help="override the config seed")
     p_search.add_argument(
-        "--w-max", type=int, default=None,
+        "--w-max", type=_positive_int, default=None,
         help="distance budget for re-measuring accepted encodings",
     )
-    add_common(p_search)
     p_search.set_defaults(func=cmd_search)
 
     p_deform = sub.add_parser("deform", help="run the Clifford deformation search")
@@ -382,23 +394,21 @@ def build_parser() -> argparse.ArgumentParser:
     p_deform.add_argument("--front-output", help="write the final Pareto front (canonical order)")
     p_deform.add_argument("--seed", type=int, help="override the config seed")
     p_deform.add_argument(
-        "--w-max", type=int, default=None,
+        "--w-max", type=_positive_int, default=None,
         help="distance budget for re-measuring accepted encodings",
     )
-    add_common(p_deform)
     p_deform.set_defaults(func=cmd_deform)
 
     p_dist = sub.add_parser("distance", help="exact distance of an encoding document")
     p_dist.add_argument("encoding", help="encoding JSON document")
-    p_dist.add_argument("--w-max", type=int, default=3, help="maximum enumerated weight")
+    p_dist.add_argument("--w-max", type=_positive_int, default=3, help="maximum enumerated weight")
     p_dist.add_argument("--format", choices=("text", "json"), default="text")
-    add_common(p_dist)
     p_dist.set_defaults(func=cmd_distance)
 
     p_metrics = sub.add_parser("metrics", help="quality metrics of an encoding document")
     p_metrics.add_argument("encoding")
     p_metrics.add_argument("--hamiltonian", default="1,0,4", help="t,tprime,U couplings")
-    p_metrics.add_argument("--w-max", type=int, default=3)
+    p_metrics.add_argument("--w-max", type=_positive_int, default=3)
     p_metrics.add_argument("--format", choices=("text", "json"), default="text")
     p_metrics.set_defaults(func=cmd_metrics)
 
@@ -412,7 +422,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_export = sub.add_parser("export", help="plot-ready CSV of a front file")
     p_export.add_argument("front", help="JSON-lines file of encoding documents")
     p_export.add_argument("--hamiltonian", default="1,0,4")
-    p_export.add_argument("--w-max", type=int, default=3)
+    p_export.add_argument("--w-max", type=_positive_int, default=3)
     p_export.add_argument("--format", choices=("csv",), default="csv")
     p_export.add_argument("--output")
     p_export.set_defaults(func=cmd_export)
@@ -421,9 +431,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except (ConfigError, DocumentError, ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -4,7 +4,8 @@ Every Pauli error on the window is classified against the window-translated
 stabilizer generators: an error that anticommutes with at least one of them
 is detected, an error inside their F2 span is trivial, anything else is a
 logical operator and its weight bounds the distance.  Errors are enumerated
-at weight 1, 2, ... until a logical is found or the budget runs out.
+in one sequential scan at weight 1, 2, ... until a logical is found or the
+budget runs out.
 
 Translations that fall partially outside the open 3x3 window are excluded
 from the check set (a clipped stabilizer is not a stabilizer), matching the
@@ -19,17 +20,14 @@ re-implementation on dense letter arrays kept as an independent oracle.
 from __future__ import annotations
 
 import itertools
-import threading
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable
 
 from . import lattice
-from .symplectic import PauliWord, SymplecticBasis
+from .symplectic import LETTER_BITS, PauliWord, SymplecticBasis
 
 if TYPE_CHECKING:  # pragma: no cover
     from .encoding import EncodingCandidate
-
-_LETTER_BITS = {"X": (1, 0), "Y": (1, 1), "Z": (0, 1)}
 
 
 @dataclass(frozen=True)
@@ -53,16 +51,13 @@ class DistanceResult:
 
 @dataclass(frozen=True)
 class DistanceBudget:
-    """Enumeration limits: maximum error weight and work-split granularity."""
+    """Enumeration limit: the maximum error weight."""
 
     w_max: int
-    parallel_chunks: int = 1
 
     def __post_init__(self) -> None:
         if self.w_max < 1:
             raise ValueError("w_max must be at least 1")
-        if self.parallel_chunks < 1:
-            raise ValueError("parallel_chunks must be at least 1")
 
 
 def translated_stabilizers(enc: "EncodingCandidate") -> list[PauliWord]:
@@ -122,100 +117,38 @@ def is_logical(e: PauliWord, enc: "EncodingCandidate") -> bool:
     return not basis.contains(e)
 
 
-def _chunk_ranges(n_items: int, chunks: int) -> list[tuple[int, int]]:
-    chunks = max(1, min(chunks, n_items)) if n_items else 1
-    base, extra = divmod(n_items, chunks)
-    ranges = []
-    start = 0
-    for i in range(chunks):
-        size = base + (1 if i < extra else 0)
-        ranges.append((start, start + size))
-        start += size
-    return ranges
-
-
-def _scan_chunk(
-    supports: list[tuple[int, ...]],
-    start: int,
-    stop: int,
-    stab_pairs: list[tuple[int, int]],
-    basis: SymplecticBasis,
-    n_slots: int,
-    found: threading.Event,
-) -> bool:
-    """Scan a rank range of weight-w supports; True if any logical error exists."""
-    if not supports:
-        return False
-    letter_sets = list(itertools.product(("X", "Y", "Z"), repeat=len(supports[0])))
-    for rank in range(start, stop):
-        if found.is_set():
-            return False
-        support = supports[rank]
-        for letters in letter_sets:
-            x = z = 0
-            for slot, letter in zip(support, letters):
-                bx, bz = _LETTER_BITS[letter]
-                x |= bx << slot
-                z |= bz << slot
-            for sx, sz in stab_pairs:
-                if ((x & sz).bit_count() + (z & sx).bit_count()) & 1:
-                    break
-            else:
-                if not basis.contains(PauliWord(x, z, n_slots)):
-                    found.set()
-                    return True
-    return False
-
-
-def min_distance(
-    enc: "EncodingCandidate", budget: DistanceBudget, *, threads: int = 1
-) -> DistanceResult:
+def min_distance(enc: "EncodingCandidate", budget: DistanceBudget) -> DistanceResult:
     """Exact minimum distance up to ``budget.w_max``, else a lower bound.
 
-    The weight-w scan is split into contiguous rank ranges of the support
-    combinations; any chunk finding a logical settles the weight, so the
-    result is independent of chunk count and thread count.
+    Weights are scanned in increasing order; within a weight, supports in
+    ``canonical_supports`` order and letters in X, Y, Z order.  The first
+    logical error settles the distance.
     """
     layout = enc.layout
     n = layout.n_slots
     stabs = translated_stabilizers(enc)
     stab_pairs = [(s.x_mask, s.z_mask) for s in stabs]
     basis = _stabilizer_span(n, stabs)
-    w_cap = min(budget.w_max, n)
-
-    executor = None
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        executor = ThreadPoolExecutor(max_workers=threads)
-    try:
-        for w in range(1, w_cap + 1):
-            supports = canonical_supports(layout, w)
-            found = threading.Event()
-            ranges = _chunk_ranges(len(supports), budget.parallel_chunks)
-            if executor is None or len(ranges) == 1:
-                hit = any(
-                    _scan_chunk(supports, a, b, stab_pairs, basis, n, found)
-                    for a, b in ranges
-                )
-            else:
-                results = executor.map(
-                    lambda r: _scan_chunk(
-                        supports, r[0], r[1], stab_pairs, basis.copy(), n, found
-                    ),
-                    ranges,
-                )
-                hit = any(list(results))
-            if hit:
-                return DistanceResult.exact_distance(w)
-    finally:
-        if executor is not None:
-            executor.shutdown()
+    letter_bits = [LETTER_BITS[letter] for letter in ("X", "Y", "Z")]
+    for w in range(1, min(budget.w_max, n) + 1):
+        letter_sets = list(itertools.product(letter_bits, repeat=w))
+        for support in canonical_supports(layout, w):
+            for letters in letter_sets:
+                x = z = 0
+                for slot, (bx, bz) in zip(support, letters):
+                    x |= bx << slot
+                    z |= bz << slot
+                for sx, sz in stab_pairs:
+                    if ((x & sz).bit_count() + (z & sx).bit_count()) & 1:
+                        break
+                else:
+                    if not basis.contains(PauliWord(x, z, n)):
+                        return DistanceResult.exact_distance(w)
     return DistanceResult.lower_bound(budget.w_max + 1)
 
 
 # ---------------------------------------------------------------------------
-# Dense-letter oracle (no bit packing, no pruning, no parallelism)
+# Dense-letter oracle (no bit packing, no pruning)
 
 _NAIVE_ANTI = {
     ("X", "Z"), ("Z", "X"), ("X", "Y"), ("Y", "X"), ("Y", "Z"), ("Z", "Y"),

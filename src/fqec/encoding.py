@@ -72,7 +72,7 @@ class EncodingCandidate:
     """A unit-cell encoding: layout, generator images and derived data.
 
     Treated as immutable once validated; derived fields are filled into
-    fresh copies so candidates can be shared read-only across workers.
+    fresh copies, so a candidate handed to a sink or a front never changes.
     """
 
     layout: UnitCellLayout
@@ -100,14 +100,8 @@ class EncodingCandidate:
         return replace(self, metrics=metrics)
 
 
-def _center_mask(layout: UnitCellLayout) -> int:
-    mask = 0
-    for local in range(layout.qubits_per_cell):
-        mask |= 1 << lattice.slot_of(CENTER, local, layout)
-    return mask
-
-
 def _cell_mask(layout: UnitCellLayout, cell: tuple[int, int]) -> int:
+    """Bit mask of the window slots of one cell."""
     mask = 0
     for local in range(layout.qubits_per_cell):
         mask |= 1 << lattice.slot_of(cell, local, layout)
@@ -132,7 +126,7 @@ def validate(enc: EncodingCandidate) -> list[Violation]:
             violations.append(Violation("missing-generator", gen.name))
             continue
         present.append(gen)
-        if not word.support & _center_mask(layout):
+        if not word.support & _cell_mask(layout, CENTER):
             violations.append(
                 Violation("anchoring", gen.name, "support misses the central cell")
             )

@@ -478,29 +478,6 @@ def _edge_image_for_direction(
     return _product_of_instances(enc, instances), v0, w
 
 
-def hopping_pauli_terms(
-    edge: FermionGeneratorId, enc: "EncodingCandidate"
-) -> tuple[PauliWord, PauliWord]:
-    """The two Pauli words of the Hermitian hopping pair carried by an edge.
-
-    Expansion of the hop across edge (j, k) yields the products V_k * E_jk
-    and V_j * E_jk; the reported hopping weight is the max of the two.
-    Works for direct edge kinds of the layout and for diagonal hops on
-    layouts where the diagonal must be composed from two defined edges.
-    """
-    if edge.kind is GeneratorKind.VERTEX:
-        raise ValueError("hopping terms require an edge generator")
-    direction = EDGE_DIRECTIONS[edge.kind]
-    image, v0, w = _edge_image_for_direction(enc, edge.mode, direction)
-    vertex_j = _product_of_instances(
-        enc, [(FermionGeneratorId(GeneratorKind.VERTEX, v0.mode), v0.cell)]
-    )
-    vertex_k = _product_of_instances(
-        enc, [(FermionGeneratorId(GeneratorKind.VERTEX, w.mode), w.cell)]
-    )
-    return multiply(vertex_k, image), multiply(vertex_j, image)
-
-
 def hopping_pair(
     enc: "EncodingCandidate", mode: int, direction: tuple[int, int]
 ) -> tuple[PauliWord, PauliWord]:

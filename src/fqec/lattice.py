@@ -204,29 +204,3 @@ def translate_word_clipped(
         raise ValueError(f"shift {shift} outside +-{SHIFT_RANGE} per axis")
     nx, nz = _translate_masks(a.x_mask, a.z_mask, table, clip=True)
     return PauliWord(nx, nz, a.n_slots)
-
-
-def support_cells(a: PauliWord, layout: UnitCellLayout) -> frozenset[tuple[int, int]]:
-    """Window cells on which the word acts non-trivially."""
-    cells = set()
-    m = a.support
-    qpc = layout.qubits_per_cell
-    order = _cells_by_index()
-    while m:
-        b = m & -m
-        cells.add(order[(b.bit_length() - 1) // qpc])
-        m ^= b
-    return frozenset(cells)
-
-
-def overlapping_shifts(
-    a_support_cells: frozenset[tuple[int, int]] | set[tuple[int, int]],
-    b_support_cells: frozenset[tuple[int, int]] | set[tuple[int, int]],
-) -> list[tuple[int, int]]:
-    """Shifts (dx, dy) with |dx|,|dy| <= 2 for which shifted b-support meets a-support."""
-    out = []
-    for shift in ALL_SHIFTS:
-        dx, dy = shift
-        if any((x + dx, y + dy) in a_support_cells for (x, y) in b_support_cells):
-            out.append(shift)
-    return out

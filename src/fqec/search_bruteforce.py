@@ -14,11 +14,13 @@ node the candidate Pauli words are restricted by:
 * windowed commutation against every assigned generator and against the
   candidate's own translates.
 
-Completions are re-validated, measured and streamed through a shared Pareto
-front over (distance, max stabilizer weight, sigma_NN, sigma_NNN).
-Subtrees below the first generator's candidates are independent units of
-work: they carry their own derived RNG streams and are reduced in index
-order, so reports and emitted sequences do not depend on the thread count.
+The whole tree is walked by one depth-first search in one thread.  Each
+completion is re-validated, measured, inserted into a Pareto front over
+(distance, max stabilizer weight, sigma_NN, sigma_NNN) and streamed as
+soon as it is found.  Every candidate of the first generator starts its own
+RNG stream, derived from the seed and the candidate's index, so a
+stochastic run draws the same numbers below a given first generator
+whatever came before it.
 """
 
 from __future__ import annotations
@@ -26,7 +28,6 @@ from __future__ import annotations
 import enum
 import itertools
 import random
-import threading
 from dataclasses import dataclass, field
 from typing import Callable, Iterator
 
@@ -34,6 +35,7 @@ from . import fermion, lattice
 from .encoding import (
     EncodingCandidate,
     Metrics,
+    _cell_mask,
     compute_metrics,
     derive_stabilizers,
     validate,
@@ -48,10 +50,9 @@ from .fermion import (
     required_parity_table,
 )
 from .lattice import CENTER, UnitCellLayout
-from .symplectic import PauliWord
+from .symplectic import LETTER_BITS, PauliWord
 
 _INTRO_ORDER = ("Z", "X", "Y")
-_LETTER_BITS = {"X": (1, 0), "Y": (1, 1), "Z": (0, 1)}
 
 
 class HoppingCapMode(enum.Enum):
@@ -83,6 +84,10 @@ class SearchConfig:
             raise ValueError("acceptance_probability must be in (0, 1]")
         if self.min_distance_filter < 1:
             raise ValueError("min_distance_filter must be at least 1")
+        if self.min_logical_weight_filter is not None and self.min_logical_weight_filter < 1:
+            raise ValueError("min_logical_weight_filter must be at least 1")
+        if self.node_budget is not None and self.node_budget < 1:
+            raise ValueError("node_budget must be at least 1")
 
 
 def stochastic_gate(accept_probability: float, rng: random.Random) -> bool:
@@ -122,43 +127,21 @@ def dominates(a: MetricsKey, b: MetricsKey) -> bool:
 class ParetoEntry:
     key: MetricsKey
     encoding: EncodingCandidate
-    order: int
 
 
 @dataclass
 class ParetoFront:
-    """Non-dominated set of encodings; exact metric ties are all kept.
+    """Non-dominated set of encodings; exact metric ties are all kept."""
 
-    ``max_size`` optionally bounds memory: when exceeded, the oldest entry
-    whose key ties another entry is evicted (distinct keys are never
-    silently dropped).
-    """
-
-    max_size: int | None = None
     entries: list[ParetoEntry] = field(default_factory=list)
-    _counter: int = 0
-    _lock: threading.Lock = field(default_factory=threading.Lock, repr=False)
 
     def update(self, key: MetricsKey, encoding: EncodingCandidate) -> bool:
-        with self._lock:
-            for entry in self.entries:
-                if dominates(entry.key, key):
-                    return False
-            self.entries = [e for e in self.entries if not dominates(key, e.key)]
-            self.entries.append(ParetoEntry(key, encoding, self._counter))
-            self._counter += 1
-            if self.max_size is not None and len(self.entries) > self.max_size:
-                self._evict_tied()
-            return True
-
-    def _evict_tied(self) -> None:
-        keys: dict[MetricsKey, int] = {}
-        for e in self.entries:
-            keys[e.key] = keys.get(e.key, 0) + 1
-        for e in sorted(self.entries, key=lambda e: e.order):
-            if keys[e.key] > 1:
-                self.entries.remove(e)
-                return
+        for entry in self.entries:
+            if dominates(entry.key, key):
+                return False
+        self.entries = [e for e in self.entries if not dominates(key, e.key)]
+        self.entries.append(ParetoEntry(key, encoding))
+        return True
 
     def snapshot(self) -> list[ParetoEntry]:
         """Entries in a canonical order independent of insertion history."""
@@ -167,22 +150,14 @@ class ParetoFront:
             canonical = getattr(e.encoding, "canonical_key", None)
             return (e.key, canonical() if callable(canonical) else repr(e.encoding))
 
-        with self._lock:
-            return sorted(self.entries, key=entry_key)
+        return sorted(self.entries, key=entry_key)
 
     def __len__(self) -> int:
         return len(self.entries)
 
 
-def pareto_update(
-    front: ParetoFront, metrics: Metrics, encoding: EncodingCandidate
-) -> bool:
-    """Insert a measured encoding; True iff it is not dominated by the front."""
-    return front.update(metrics.key(), encoding)
-
-
 # ---------------------------------------------------------------------------
-# Search report and completion bookkeeping
+# Search report
 
 
 @dataclass
@@ -207,50 +182,12 @@ class SearchReport:
         }
 
 
-@dataclass
-class _Completion:
-    encoding: EncodingCandidate  # stabilizers derived, search-budget metrics set
-
-
-@dataclass
-class _SubtreeResult:
-    completions: list[_Completion] = field(default_factory=list)
-    nodes: int = 0
-    full_assignments: int = 0
-    filtered: int = 0
-    invalid: int = 0
-    truncated: bool = False
-
-
-class _Budget:
-    """Shared node budget; with one worker the cut is exactly sequential."""
-
-    def __init__(self, limit: int | None):
-        self.limit = limit
-        self.used = 0
-        self._lock = threading.Lock()
-
-    def consume(self) -> bool:
-        if self.limit is None:
-            self.used += 1
-            return True
-        with self._lock:
-            if self.used >= self.limit:
-                return False
-            self.used += 1
-            return True
-
-    @property
-    def exhausted(self) -> bool:
-        return self.limit is not None and self.used >= self.limit
-
-
 # ---------------------------------------------------------------------------
 # The DFS engine
 
 
 class _SearchContext:
-    """Per-run constants plus the mutable DFS state of one subtree."""
+    """Per-run constants plus the mutable state of the depth-first search."""
 
     def __init__(self, cfg: SearchConfig):
         self.cfg = cfg
@@ -259,12 +196,11 @@ class _SearchContext:
         self.n = layout.n_slots
         self.qpc = layout.qubits_per_cell
         self.gen_order = generator_ids(layout)
-        self.tables = lattice._shift_tables(self.qpc)
         self.shifts = lattice.ALL_SHIFTS
+        tables = lattice._shift_tables(self.qpc)
+        self.shift_tables = [tables[shift] for shift in self.shifts]
 
-        center_mask = 0
-        for local in range(self.qpc):
-            center_mask |= 1 << lattice.slot_of(CENTER, local, layout)
+        center_mask = _cell_mask(layout, CENTER)
         self.required_cell_masks: list[tuple[int, ...]] = []
         self.caps: list[int] = []
         for gen in self.gen_order:
@@ -273,10 +209,7 @@ class _SearchContext:
                 self.caps.append(cfg.max_vertex_weight)
             else:
                 off = far_cell_offset(layout, gen)
-                far = (CENTER[0] + off[0], CENTER[1] + off[1])
-                far_mask = 0
-                for local in range(self.qpc):
-                    far_mask |= 1 << lattice.slot_of(far, local, layout)
+                far_mask = _cell_mask(layout, (CENTER[0] + off[0], CENTER[1] + off[1]))
                 masks = (center_mask,) if far_mask == center_mask else (center_mask, far_mask)
                 self.required_cell_masks.append(masks)
                 self.caps.append(cfg.max_edge_or_hopping_weight)
@@ -291,7 +224,7 @@ class _SearchContext:
             for i in range(n_gen)
         ]
 
-        # Mutable per-subtree state.
+        # Mutable search state.
         self.assigned: list[tuple[int, int]] = []
         self.assigned_translates: list[list[tuple[int, int]]] = []
         self.intro: list[list[str]] = [[] for _ in range(self.qpc)]
@@ -301,25 +234,9 @@ class _SearchContext:
 
     # -- candidate enumeration -------------------------------------------
 
-    def _clipped_translates(self, x: int, z: int) -> list[tuple[int, int]]:
-        out = []
-        for shift in self.shifts:
-            table = self.tables[shift]
-            nx = nz = 0
-            m = x | z
-            while m:
-                b = m & -m
-                slot = b.bit_length() - 1
-                m ^= b
-                dest = table[slot]
-                if dest >= 0:
-                    bit = 1 << dest
-                    if x & b:
-                        nx |= bit
-                    if z & b:
-                        nz |= bit
-            out.append((nx, nz))
-        return out
+    def translates(self, x: int, z: int) -> list[tuple[int, int]]:
+        """Clipped window translates of a word, in ``self.shifts`` order."""
+        return [lattice._translate_masks(x, z, table, True) for table in self.shift_tables]
 
     def _begin_level(self, gi: int) -> None:
         """Build the bit-parallel commutation tables for generator level ``gi``.
@@ -334,7 +251,8 @@ class _SearchContext:
         contrib: list[dict[str, int]] = []
         for slot in range(self.n):
             per_letter: dict[str, int] = {}
-            for letter, (cx, cz) in _LETTER_BITS.items():
+            for letter in ("X", "Y", "Z"):
+                cx, cz = LETTER_BITS[letter]
                 acc = 0
                 bit = 0
                 for translates in self.assigned_translates:
@@ -393,7 +311,7 @@ class _SearchContext:
             fresh = letter not in introduced
             if fresh:
                 introduced.append(letter)
-            bx, bz = _LETTER_BITS[letter]
+            bx, bz = LETTER_BITS[letter]
             yield from self._letters(
                 support,
                 idx + 1,
@@ -423,20 +341,18 @@ class _SearchContext:
     def self_commutation_ok(self, gi: int, x: int, z: int) -> bool:
         """Windowed parities of a candidate against its own translates."""
         req_self = self.required[gi][gi]
-        own = self._clipped_translates(x, z)
-        for idx, (tx, tz) in enumerate(own):
+        for idx, (tx, tz) in enumerate(self.translates(x, z)):
             if (((x & tz).bit_count() + (z & tx).bit_count()) & 1) != req_self[idx]:
                 return False
         return True
 
-    def commutation_ok(self, gi: int, x: int, z: int) -> bool:
-        """Full windowed parity check (assigned pairs plus self translates)."""
-        for j, translates in enumerate(self.assigned_translates):
-            req = self.required[gi][j]
-            for idx, (tx, tz) in enumerate(translates):
-                if (((x & tz).bit_count() + (z & tx).bit_count()) & 1) != req[idx]:
-                    return False
-        return self.self_commutation_ok(gi, x, z)
+    def assign(self, x: int, z: int) -> None:
+        self.assigned.append((x, z))
+        self.assigned_translates.append(self.translates(x, z))
+
+    def unassign(self) -> None:
+        self.assigned.pop()
+        self.assigned_translates.pop()
 
     def _partial_encoding(self, extra: tuple[int, tuple[int, int]] | None) -> EncodingCandidate:
         gens: dict[FermionGeneratorId, PauliWord] = {}
@@ -530,99 +446,6 @@ def _passes_completion_filters(
     return True
 
 
-def _evaluate_completion(
-    cfg: SearchConfig, ctx: _SearchContext, result: _SubtreeResult
-) -> None:
-    result.full_assignments += 1
-    enc = ctx._partial_encoding(None)
-    if validate(enc):
-        result.invalid += 1
-        return
-    try:
-        enc = enc.with_stabilizers(derive_stabilizers(enc))
-        metrics = compute_metrics(enc, HamiltonianSpec(), cfg.min_distance_filter)
-    except PathError:
-        result.invalid += 1
-        return
-    if not _passes_completion_filters(cfg, enc, metrics):
-        result.filtered += 1
-        return
-    result.completions.append(_Completion(enc.with_metrics(metrics)))
-
-
-def _run_subtree(
-    cfg: SearchConfig,
-    root_index: int,
-    root_word: tuple[int, int],
-    budget: _Budget,
-) -> _SubtreeResult:
-    ctx = _SearchContext(cfg)
-    result = _SubtreeResult()
-    rng = random.Random(derive_subtree_seed(cfg.rng_seed, root_index))
-
-    def assign(gi: int, x: int, z: int) -> None:
-        ctx.assigned.append((x, z))
-        ctx.assigned_translates.append(ctx._clipped_translates(x, z))
-
-    def unassign() -> None:
-        ctx.assigned.pop()
-        ctx.assigned_translates.pop()
-
-    def dfs(gi: int) -> None:
-        if result.truncated:
-            return
-        ctx._begin_level(gi)
-        required_mask = ctx.required_mask
-        for x, z, acc in ctx.candidates(gi):
-            if result.truncated:
-                return
-            if acc != required_mask:
-                continue
-            if not ctx.self_commutation_ok(gi, x, z):
-                continue
-            if not ctx.hop_caps_ok(gi, x, z):
-                continue
-            if not stochastic_gate(cfg.acceptance_probability, rng):
-                continue
-            if not budget.consume():
-                result.truncated = True
-                return
-            result.nodes += 1
-            assign(gi, x, z)
-            if gi + 1 == len(ctx.gen_order):
-                _evaluate_completion(cfg, ctx, result)
-            else:
-                dfs(gi + 1)
-            unassign()
-            ctx._begin_level(gi)
-
-    # Replay the root word through the same gates so its intro/assignment
-    # state matches what a single full DFS would have seen.
-    x, z = root_word
-    if not ctx.commutation_ok(0, x, z):
-        return result
-    if not ctx.hop_caps_ok(0, x, z):
-        return result
-    if not stochastic_gate(cfg.acceptance_probability, rng):
-        return result
-    if not budget.consume():
-        result.truncated = True
-        return result
-    result.nodes += 1
-    # Apply the root's letter introductions manually.
-    for slot in sorted(PauliWord(x, z, ctx.n).support_slots()):
-        letter = PauliWord(x, z, ctx.n).letter(slot)
-        introduced = ctx.intro[slot % ctx.qpc]
-        if letter not in introduced:
-            introduced.append(letter)
-    assign(0, x, z)
-    if len(ctx.gen_order) == 1:
-        _evaluate_completion(cfg, ctx, result)
-    else:
-        dfs(1)
-    return result
-
-
 def brute_force_search(
     cfg: SearchConfig,
     sink: Callable[[EncodingCandidate], None],
@@ -634,56 +457,80 @@ def brute_force_search(
 ) -> SearchReport:
     """Run the full enumeration, streaming Pareto-accepted encodings to ``sink``.
 
-    Search-time metrics use a distance budget equal to the distance filter;
-    accepted encodings are re-measured at ``final_w_max`` (when larger)
-    before being emitted.  With a fixed config the emitted sequence and the
-    report are identical for every thread count, except that a node budget
-    may cut at a different point when several workers race.
+    The search runs as one depth-first walk in the calling thread; equal
+    configs give equal reports and emitted sequences.  Search-time metrics
+    use a distance budget equal to the distance filter; accepted encodings
+    are re-measured at ``final_w_max`` (when larger) before being emitted.
+    ``completion_sink`` sees every completion that passes the filters, in
+    the order found.  ``threads`` remains as a keyword that takes only 1
+    (``bench/worker.py`` passes it); any other value raises ValueError.
     """
-    root_ctx = _SearchContext(cfg)
-    root_ctx._begin_level(0)
-    roots = [(x, z) for x, z, _ in root_ctx.candidates(0)]
-    budget = _Budget(cfg.node_budget)
+    if threads != 1:
+        raise ValueError("the search runs in one thread; threads must be 1")
+    ctx = _SearchContext(cfg)
+    n_levels = len(ctx.gen_order)
     report = SearchReport()
     front = front if front is not None else ParetoFront()
+    budget = cfg.node_budget
 
-    def reduce(result: _SubtreeResult) -> None:
-        report.nodes += result.nodes
-        report.completions += result.full_assignments
-        report.filtered += result.filtered
-        report.invalid += result.invalid
-        report.truncated = report.truncated or result.truncated
-        for completion in result.completions:
-            enc = completion.encoding
-            metrics = enc.metrics
-            assert metrics is not None
-            if completion_sink is not None:
-                completion_sink(enc)
-            if not front.update(metrics.key(), enc):
+    def complete() -> None:
+        report.completions += 1
+        enc = ctx._partial_encoding(None)
+        if validate(enc):
+            report.invalid += 1
+            return
+        try:
+            enc = enc.with_stabilizers(derive_stabilizers(enc))
+            metrics = compute_metrics(enc, HamiltonianSpec(), cfg.min_distance_filter)
+        except PathError:
+            report.invalid += 1
+            return
+        if not _passes_completion_filters(cfg, enc, metrics):
+            report.filtered += 1
+            return
+        enc = enc.with_metrics(metrics)
+        if completion_sink is not None:
+            completion_sink(enc)
+        if not front.update(metrics.key(), enc):
+            return
+        if final_w_max is not None and final_w_max > cfg.min_distance_filter:
+            metrics = compute_metrics(enc, HamiltonianSpec(), final_w_max)
+            enc = enc.with_metrics(metrics)
+        report.emitted += 1
+        if metrics.distance.exact:
+            report.best_distance = max(report.best_distance or 0, metrics.distance.value)
+        sink(enc)
+
+    def dfs(gi: int, rng: random.Random | None) -> bool:
+        """Walk level ``gi`` and below; False once the node budget cuts the run."""
+        ctx._begin_level(gi)
+        required_mask = ctx.required_mask
+        for index, (x, z, acc) in enumerate(ctx.candidates(gi)):
+            if gi == 0:
+                if budget is not None and report.nodes >= budget:
+                    report.truncated = True
+                    return False
+                rng = random.Random(derive_subtree_seed(cfg.rng_seed, index))
+            if acc != required_mask:
                 continue
-            if final_w_max is not None and final_w_max > cfg.min_distance_filter:
-                metrics = compute_metrics(enc, HamiltonianSpec(), final_w_max)
-                enc = enc.with_metrics(metrics)
-            report.emitted += 1
-            value = metrics.distance.value if metrics.distance.exact else None
-            if value is not None:
-                report.best_distance = max(report.best_distance or 0, value)
-            sink(enc)
-
-    if threads <= 1:
-        for index, word in enumerate(roots):
-            if budget.exhausted:
+            if not ctx.self_commutation_ok(gi, x, z):
+                continue
+            if not ctx.hop_caps_ok(gi, x, z):
+                continue
+            if not stochastic_gate(cfg.acceptance_probability, rng):
+                continue
+            if budget is not None and report.nodes >= budget:
                 report.truncated = True
-                break
-            reduce(_run_subtree(cfg, index, word, budget))
-    else:
-        from concurrent.futures import ThreadPoolExecutor
+                return False
+            report.nodes += 1
+            ctx.assign(x, z)
+            if gi + 1 == n_levels:
+                complete()
+            elif not dfs(gi + 1, rng):
+                return False
+            ctx.unassign()
+            ctx._begin_level(gi)
+        return True
 
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = pool.map(
-                lambda item: _run_subtree(cfg, item[0], item[1], budget),
-                enumerate(roots),
-            )
-            for result in results:
-                reduce(result)
+    dfs(0, None)
     return report

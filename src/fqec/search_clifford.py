@@ -37,9 +37,7 @@ from .search_bruteforce import (
     _passes_completion_filters,
     SearchConfig,
 )
-from .symplectic import PauliWord
-
-_LETTER_BITS = {"X": (1, 0), "Y": (1, 1), "Z": (0, 1)}
+from .symplectic import LETTER_BITS, PauliWord
 
 #: The six phase-blind single-qubit Clifford classes as images of (X, Y, Z).
 ALL_LETTER_PERMS = tuple(itertools.permutations(("X", "Y", "Z")))
@@ -109,13 +107,17 @@ class CliffordConfig:
             raise ValueError("sample counts must be non-negative")
         if self.max_sequence_length < 0:
             raise ValueError("max_sequence_length must be non-negative")
+        if self.min_logical_weight_filter is not None and self.min_logical_weight_filter < 1:
+            raise ValueError("min_logical_weight_filter must be at least 1")
+        if self.sequence_budget is not None and self.sequence_budget < 1:
+            raise ValueError("sequence_budget must be at least 1")
 
 
 @lru_cache(maxsize=None)
 def _perm_matrix(perm: tuple[str, str, str]) -> tuple[int, int, int, int]:
     """F2 matrix (mxx, mxz, mzx, mzz) of a letter permutation on (x, z) bits."""
-    xa, za = _LETTER_BITS[perm[0]]  # image of X
-    xb, zb = _LETTER_BITS[perm[2]]  # image of Z
+    xa, za = LETTER_BITS[perm[0]]  # image of X
+    xb, zb = LETTER_BITS[perm[2]]  # image of Z
     return xa, xb, za, zb
 
 
@@ -345,7 +347,12 @@ def clifford_deform_search(
     Sequences are ordered selections without repetition up to the configured
     length, deduplicated by the resulting generator map.  ``sink`` receives
     each accepted encoding plus a provenance dict naming the gate sequence.
+    Sequences are evaluated one after another in the calling thread.
+    ``threads`` remains as a keyword that takes only 1 (``bench/worker.py``
+    passes it); any other value raises ValueError.
     """
+    if threads != 1:
+        raise ValueError("the search runs in one thread; threads must be 1")
     if validate(cfg.base):
         raise ValueError("base encoding does not validate")
     base = cfg.base
@@ -391,17 +398,8 @@ def clifford_deform_search(
     raw = _all_sequences(len(gates), cfg.max_sequence_length)
     budget = cfg.sequence_budget
     sequences = raw if budget is None else itertools.islice(raw, budget)
-    if threads <= 1:
-        for seq in sequences:
-            reduce(_evaluate_sequence(cfg, gates, seq, filter_cfg))
-    else:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            for deformation in pool.map(
-                lambda seq: _evaluate_sequence(cfg, gates, seq, filter_cfg), sequences
-            ):
-                reduce(deformation)
+    for seq in sequences:
+        reduce(_evaluate_sequence(cfg, gates, seq, filter_cfg))
     if budget is not None and next(raw, None) is not None:
         report.truncated = True
     return report

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 MAX_SLOTS = 64
 
-_LETTER_TO_BITS = {"I": (0, 0), "X": (1, 0), "Y": (1, 1), "Z": (0, 1)}
+LETTER_BITS = {"I": (0, 0), "X": (1, 0), "Y": (1, 1), "Z": (0, 1)}
 _BITS_TO_LETTER = {(0, 0): "I", (1, 0): "X", (1, 1): "Y", (0, 1): "Z"}
 
 
@@ -48,7 +48,7 @@ class PauliWord:
             raise ValueError(f"expected X, Y or Z, got {letter!r}")
         if not 0 <= slot < n_slots:
             raise ValueError(f"slot {slot} outside 0..{n_slots - 1}")
-        x, z = _LETTER_TO_BITS[letter]
+        x, z = LETTER_BITS[letter]
         return cls(x << slot, z << slot, n_slots)
 
     def letter(self, slot: int) -> str:
@@ -59,9 +59,9 @@ class PauliWord:
 
     def with_letter(self, slot: int, letter: str) -> "PauliWord":
         """Copy with the letter on ``slot`` replaced."""
-        if letter not in _LETTER_TO_BITS:
+        if letter not in LETTER_BITS:
             raise ValueError(f"invalid letter {letter!r}")
-        x, z = _LETTER_TO_BITS[letter]
+        x, z = LETTER_BITS[letter]
         clear = ~(1 << slot)
         return PauliWord(
             (self.x_mask & clear) | (x << slot),
@@ -119,7 +119,6 @@ class SymplecticBasis:
 
     Rows are kept with unique pivots (the most significant set bit of the
     concatenated vector), which makes membership reduction deterministic.
-    Mutable and single-owner: concurrent users must hold private copies.
     """
 
     n_slots: int
@@ -174,12 +173,6 @@ class SymplecticBasis:
         return SymplecticBasis(self.n_slots, dict(self._rows_by_pivot))
 
 
-def span_insert(basis: SymplecticBasis, v: PauliWord) -> tuple[SymplecticBasis, bool]:
-    """Gaussian-elimination insert; ``inserted`` is False iff v is in the span."""
-    inserted = basis.insert(v)
-    return basis, inserted
-
-
 def parse_pauli(text: str, n_slots: int) -> PauliWord:
     """Parse a dense ("XIZ") or sparse ("X0 Z5 Y17") Pauli string.
 
@@ -199,7 +192,7 @@ def _parse_dense(text: str, n_slots: int) -> PauliWord:
         raise ValueError(f"dense string of length {len(text)} exceeds {n_slots} slots")
     x = z = 0
     for slot, ch in enumerate(text):
-        bits = _LETTER_TO_BITS.get(ch.upper())
+        bits = LETTER_BITS.get(ch.upper())
         if bits is None:
             raise ValueError(f"invalid Pauli letter {ch!r} at position {slot}")
         x |= bits[0] << slot
@@ -218,7 +211,7 @@ def _parse_sparse(text: str, n_slots: int) -> PauliWord:
             raise ValueError(f"slot {slot} in token {token!r} exceeds n_slots={n_slots}")
         if (x | z) & (1 << slot):
             raise ValueError(f"duplicate slot {slot} in sparse Pauli string")
-        bits = _LETTER_TO_BITS[head]
+        bits = LETTER_BITS[head]
         x |= bits[0] << slot
         z |= bits[1] << slot
     return PauliWord(x, z, n_slots)

@@ -89,6 +89,23 @@ class TestSearchCommand:
         cfg = write(tmp_path, "bad.cfg", SEARCH_CONFIG + "mystery-knob = 3\n")
         assert main(["search", cfg, "--output", str(tmp_path / "o.jsonl")]) == 1
 
+    def test_negative_node_budget_exits_one(self, tmp_path, capsys):
+        cfg = write(tmp_path, "bad.cfg", SEARCH_CONFIG.replace("node-budget = 400", "node-budget = -3"))
+        assert main(["search", cfg, "--output", str(tmp_path / "o.jsonl")]) == 1
+        assert "node_budget" in capsys.readouterr().err
+
+    def test_min_logical_weight_below_one_exits_one(self, tmp_path, capsys):
+        cfg = write(tmp_path, "bad.cfg", SEARCH_CONFIG + "min-logical-weight = -1\n")
+        assert main(["search", cfg, "--output", str(tmp_path / "o.jsonl")]) == 1
+        deform = deform_config(tmp_path, extra="min-logical-weight = 0\n")
+        assert main(["deform", deform, "--output", str(tmp_path / "d.jsonl")]) == 1
+        assert capsys.readouterr().err.count("min_logical_weight_filter") == 2
+
+    def test_w_max_below_one_exits_one(self, tmp_path, capsys):
+        cfg = write(tmp_path, "search.cfg", SEARCH_CONFIG)
+        assert main(["search", cfg, "--output", str(tmp_path / "o.jsonl"), "--w-max", "0"]) == 1
+        assert not (tmp_path / "o.jsonl").exists()
+
     def test_byte_identical_reruns(self, tmp_path, capsys):
         cfg = write(tmp_path, "search.cfg", SEARCH_CONFIG)
         outputs = []
@@ -143,6 +160,15 @@ class TestDeformCommand:
             blobs.append(open(out, "rb").read())
         assert blobs[0] == blobs[1]
 
+    def test_negative_sequence_budget_exits_one(self, tmp_path, capsys):
+        cfg = deform_config(tmp_path, extra="sequence-budget = -2\n")
+        assert main(["deform", cfg, "--output", str(tmp_path / "d.jsonl")]) == 1
+        assert "sequence_budget" in capsys.readouterr().err
+
+    def test_w_max_below_one_exits_one(self, tmp_path, capsys):
+        cfg = deform_config(tmp_path)
+        assert main(["deform", cfg, "--output", str(tmp_path / "d.jsonl"), "--w-max", "0"]) == 1
+
     def test_sequence_budget_exits_two(self, tmp_path, capsys):
         cfg = write(
             tmp_path, "deform.cfg",
@@ -153,6 +179,26 @@ class TestDeformCommand:
         assert code == 2
         report = json.loads(capsys.readouterr().out)["report"]
         assert report["truncated"] and report["nodes"] == 3
+
+
+class TestUsageErrors:
+    """argparse errors exit 1: exit 2 is reserved for a truncated run."""
+
+    def test_unknown_flag_exits_one(self, tmp_path, capsys):
+        cfg = write(tmp_path, "search.cfg", SEARCH_CONFIG)
+        assert main(["search", cfg, "--bogus"]) == 1
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_threads_flag_exits_one(self, tmp_path, capsys):
+        cfg = write(tmp_path, "search.cfg", SEARCH_CONFIG)
+        assert main(["search", cfg, "--threads", "4"]) == 1
+        assert main(["deform", deform_config(tmp_path), "--threads", "4"]) == 1
+        assert main(["distance", D2_DOC, "--threads", "4"]) == 1
+
+    def test_non_integer_w_max_exits_one(self, tmp_path, capsys):
+        cfg = write(tmp_path, "search.cfg", SEARCH_CONFIG)
+        assert main(["search", cfg, "--w-max", "abc"]) == 1
+        assert "--w-max" in capsys.readouterr().err
 
 
 class TestDistanceCommand:

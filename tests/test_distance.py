@@ -15,7 +15,7 @@ from fqec.distance import (
     translated_stabilizers,
 )
 from fqec.encoding import derive_stabilizers
-from fqec.fermion import FermionGeneratorId, GeneratorKind, hopping_pauli_terms
+from fqec.fermion import EDGE_DIRECTIONS, GeneratorKind, hopping_pair
 from fqec.lattice import EdgeSet, Scheme, UnitCellLayout, cell_of, slot_of
 from fqec.symplectic import PauliWord
 
@@ -28,8 +28,6 @@ class TestDistanceResult:
     def test_budget_bounds(self):
         with pytest.raises(ValueError):
             DistanceBudget(0)
-        with pytest.raises(ValueError):
-            DistanceBudget(2, parallel_chunks=0)
 
 
 class TestMinDistance:
@@ -57,20 +55,12 @@ class TestMinDistance:
 
     def test_hopping_terms_are_logical(self, vc_encoding):
         for kind in (GeneratorKind.EDGE_RIGHT, GeneratorKind.EDGE_UP):
-            for term in hopping_pauli_terms(FermionGeneratorId(kind, 0), vc_encoding):
+            for term in hopping_pair(vc_encoding, 0, EDGE_DIRECTIONS[kind]):
                 assert is_logical(term, vc_encoding)
 
     def test_translation_set_complete(self, vc_encoding):
         # The weight-8 plaquette spans 2x2 cells: exactly 4 window translates.
         assert len(translated_stabilizers(vc_encoding)) == 4
-
-    def test_thread_and_chunk_invariance(self, vc_encoding):
-        base = min_distance(vc_encoding, DistanceBudget(3))
-        for chunks, threads in ((1, 1), (4, 2), (7, 4)):
-            got = min_distance(
-                vc_encoding, DistanceBudget(3, parallel_chunks=chunks), threads=threads
-            )
-            assert got == base
 
     def test_relabeling_invariance(self, vc_encoding):
         # Swap the two locals of every cell in every generator: distance is

@@ -21,7 +21,7 @@ from fqec.fermion import (
     enumerate_hamiltonian_terms,
     generator_id_from_name,
     generator_ids,
-    hopping_pauli_terms,
+    hopping_pair,
     hopping_weight,
     loop_stabilizer,
     majorana_commute_parity,
@@ -267,8 +267,7 @@ class TestEdgeAndLoopProducts:
 
 class TestHoppingTerms:
     def test_pair_product_cancels_edge(self, vc_encoding):
-        r = FermionGeneratorId(GeneratorKind.EDGE_RIGHT, 0)
-        t1, t2 = hopping_pauli_terms(r, vc_encoding)
+        t1, t2 = hopping_pair(vc_encoding, 0, EDGE_DIRECTIONS[GeneratorKind.EDGE_RIGHT])
         v = vc_encoding.generators[FermionGeneratorId(GeneratorKind.VERTEX, 0)]
         v_moved = translate_word_clipped(v, (1, 0), NN2)
         assert multiply(t1, t2) == multiply(v_moved, v)
@@ -276,7 +275,7 @@ class TestHoppingTerms:
     def test_terms_commute_with_stabilizers(self, vc_encoding):
         plaquette = derive_stabilizers(vc_encoding)[0]
         for kind in (GeneratorKind.EDGE_RIGHT, GeneratorKind.EDGE_UP):
-            for term in hopping_pauli_terms(FermionGeneratorId(kind, 0), vc_encoding):
+            for term in hopping_pair(vc_encoding, 0, EDGE_DIRECTIONS[kind]):
                 for shift in ALL_SHIFTS:
                     moved = translate_word_clipped(plaquette, shift, NN2)
                     assert commute_parity(term, moved) == 0
@@ -284,9 +283,7 @@ class TestHoppingTerms:
     def test_jw_row_hopping_weight_two(self):
         # 1D Jordan-Wigner along a row: both hop words have weight 2.
         enc = jw_like(UnitCellLayout(1, Scheme.TWO_GRIDS, EdgeSet.NN_SQUARE))
-        terms = hopping_pauli_terms(
-            FermionGeneratorId(GeneratorKind.EDGE_RIGHT, 0), enc
-        )
+        terms = hopping_pair(enc, 0, EDGE_DIRECTIONS[GeneratorKind.EDGE_RIGHT])
         assert {weight(t) for t in terms} == {2}
         assert hopping_weight(enc, 0, (1, 0)) == 2
 
@@ -302,10 +299,6 @@ class TestHoppingTerms:
         # nn-square layout: diagonal hop goes through the two-edge L path.
         w_ur = hopping_weight(vc_encoding, 0, (1, 1))
         assert w_ur >= 1
-
-    def test_vertex_rejected(self, vc_encoding):
-        with pytest.raises(ValueError):
-            hopping_pauli_terms(FermionGeneratorId(GeneratorKind.VERTEX, 0), vc_encoding)
 
 
 class TestOnsiteTerms:

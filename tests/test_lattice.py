@@ -13,10 +13,8 @@ from fqec.lattice import (
     UnitCellLayout,
     cell_of,
     edge_set_from_name,
-    overlapping_shifts,
     scheme_from_name,
     slot_of,
-    support_cells,
     translate_word,
     translate_word_clipped,
 )
@@ -113,37 +111,6 @@ class TestTranslate:
         w = PauliWord.identity(9)
         with pytest.raises(ValueError):
             translate_word(w, (3, 0), LAYOUT1)
-
-
-class TestOverlappingShifts:
-    def test_single_cell_same(self):
-        assert overlapping_shifts({(1, 1)}, {(1, 1)}) == [(0, 0)]
-
-    def test_two_cell_example(self):
-        got = overlapping_shifts({(1, 1)}, {(1, 1), (2, 1)})
-        assert sorted(got) == [(-1, 0), (0, 0)]
-
-    def test_full_window(self):
-        full = {(x, y) for x in range(3) for y in range(3)}
-        assert len(overlapping_shifts(full, full)) == 25
-
-    def test_symmetry_under_negation(self):
-        rng = random.Random(4)
-        cells = [(x, y) for x in range(3) for y in range(3)]
-        for _ in range(40):
-            a = set(rng.sample(cells, rng.randint(1, 4)))
-            b = set(rng.sample(cells, rng.randint(1, 4)))
-            forward = set(overlapping_shifts(a, b))
-            backward = {(-dx, -dy) for dx, dy in overlapping_shifts(b, a)}
-            assert forward == backward
-
-    def test_support_cells(self):
-        w = (
-            PauliWord.identity(9)
-            .with_letter(slot_of((0, 2), 0, LAYOUT1), "X")
-            .with_letter(slot_of((2, 0), 0, LAYOUT1), "Z")
-        )
-        assert support_cells(w, LAYOUT1) == frozenset({(0, 2), (2, 0)})
 
 
 class TestLayout:

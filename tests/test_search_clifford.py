@@ -253,19 +253,13 @@ class TestDeformSearch:
         assert runs[0][0] == runs[1][0]
         assert runs[0][1] == runs[1][1]
 
-    def test_thread_invariance(self, vc_encoding):
+    def test_threads_other_than_one_rejected(self, vc_encoding):
         cfg = CliffordConfig(
             base=vc_encoding, n_single_qubit_samples=2, n_cnot_pairs=0,
-            max_sequence_length=2, rng_seed=2,
+            max_sequence_length=1, rng_seed=2,
         )
-        results = []
-        for threads in (1, 4):
-            emitted = []
-            report = clifford_deform_search(
-                cfg, lambda enc, prov: emitted.append(enc.canonical_key()), threads=threads
-            )
-            results.append((emitted, report))
-        assert results[0] == results[1]
+        with pytest.raises(ValueError):
+            clifford_deform_search(cfg, lambda enc, prov: None, threads=2)
 
     def test_sequence_budget_truncates(self, vc_encoding):
         cfg = CliffordConfig(

@@ -13,7 +13,6 @@ from fqec.symplectic import (
     format_pauli,
     multiply,
     parse_pauli,
-    span_insert,
     weight,
 )
 
@@ -90,14 +89,12 @@ class TestWeight:
 class TestSpanInsert:
     def test_first_insert(self):
         basis = SymplecticBasis(4)
-        basis, inserted = span_insert(basis, word("X", 4))
-        assert inserted and basis.rank == 1
+        assert basis.insert(word("X", 4)) and basis.rank == 1
 
     def test_reinsert_rejected(self):
         basis = SymplecticBasis(4)
-        span_insert(basis, word("X", 4))
-        _, inserted = span_insert(basis, word("X", 4))
-        assert not inserted
+        basis.insert(word("X", 4))
+        assert not basis.insert(word("X", 4))
 
     def test_product_in_span_brute_force(self):
         # Oracle: enumerate every F2 combination of the two inserted rows
@@ -116,8 +113,7 @@ class TestSpanInsert:
         basis = SymplecticBasis(4)
         for row in rows:
             assert basis.insert(row)
-        _, inserted = span_insert(basis, product)
-        assert not inserted
+        assert not basis.insert(product)
 
     def test_idempotent_under_combinations(self):
         rng = random.Random(5)
