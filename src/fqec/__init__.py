@@ -7,7 +7,7 @@ Clifford-deformation searches behind a shared Pareto front, and
 connectivity-graph scoring.
 """
 
-from .distance import DistanceBudget, DistanceResult, is_logical, min_distance, naive_min_distance
+from .distance import DistanceBudget, DistanceResult, is_logical, min_distance
 from .encoding import EncodingCandidate, Metrics, Violation, compute_metrics, derive_stabilizers, validate
 from .fermion import (
     FermionGeneratorId,
@@ -87,7 +87,6 @@ __all__ = [
     "majorana_commute_parity",
     "min_distance",
     "multiply",
-    "naive_min_distance",
     "onsite_pauli_term",
     "parse_pauli",
     "sample_gate_set",

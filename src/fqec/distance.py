@@ -13,8 +13,8 @@ windowed reading of the search restrictions.  Errors are enumerated one
 representative per translation orbit, with the support's cell bounding box
 centered in the window: an off-center placement would see fewer stabilizer
 translates than the infinite lattice provides and report spurious logicals
-at the window corners.  ``naive_min_distance`` is a deliberately dumb
-re-implementation on dense letter arrays kept as an independent oracle.
+at the window corners.  The test suite keeps a deliberately dumb
+re-implementation on dense letter arrays as an independent oracle.
 """
 
 from __future__ import annotations
@@ -145,107 +145,3 @@ def min_distance(enc: "EncodingCandidate", budget: DistanceBudget) -> DistanceRe
                     if not basis.contains(PauliWord(x, z, n)):
                         return DistanceResult.exact_distance(w)
     return DistanceResult.lower_bound(budget.w_max + 1)
-
-
-# ---------------------------------------------------------------------------
-# Dense-letter oracle (no bit packing, no pruning)
-
-_NAIVE_ANTI = {
-    ("X", "Z"), ("Z", "X"), ("X", "Y"), ("Y", "X"), ("Y", "Z"), ("Z", "Y"),
-}
-
-
-def _naive_letters(word: PauliWord) -> tuple[str, ...]:
-    return tuple(word.letter(q) for q in range(word.n_slots))
-
-
-def _naive_translate(
-    letters: tuple[str, ...], shift: tuple[int, int], layout
-) -> tuple[str, ...] | None:
-    out = ["I"] * len(letters)
-    for slot, letter in enumerate(letters):
-        if letter == "I":
-            continue
-        (x, y), local = lattice.cell_of(slot, layout)
-        nx, ny = x + shift[0], y + shift[1]
-        if not (0 <= nx < lattice.WINDOW and 0 <= ny < lattice.WINDOW):
-            return None
-        out[lattice.slot_of((nx, ny), local, layout)] = letter
-    return tuple(out)
-
-
-def _naive_anticommutes(a: tuple[str, ...], b: tuple[str, ...]) -> bool:
-    count = 0
-    for la, lb in zip(a, b):
-        if (la, lb) in _NAIVE_ANTI:
-            count += 1
-    return count % 2 == 1
-
-
-def _naive_vector(letters: tuple[str, ...]) -> list[int]:
-    vec = []
-    for letter in letters:
-        vec.append(1 if letter in ("X", "Y") else 0)
-    for letter in letters:
-        vec.append(1 if letter in ("Z", "Y") else 0)
-    return vec
-
-
-def _naive_in_span(rows: list[list[int]], vec: list[int]) -> bool:
-    # plain forward elimination, recomputed from scratch every call
-    reduced: list[list[int]] = []
-    for row in rows:
-        cur = row[:]
-        for prow in reduced:
-            lead = next(i for i, v in enumerate(prow) if v)
-            if cur[lead]:
-                cur = [a ^ b for a, b in zip(cur, prow)]
-        if any(cur):
-            reduced.append(cur)
-    cur = vec[:]
-    for prow in reduced:
-        lead = next(i for i, v in enumerate(prow) if v)
-        if cur[lead]:
-            cur = [a ^ b for a, b in zip(cur, prow)]
-    return not any(cur)
-
-
-def naive_min_distance(enc: "EncodingCandidate", w_max: int) -> DistanceResult:
-    """Same contract as :func:`min_distance` on dense letter arrays."""
-    layout = enc.layout
-    n = layout.n_slots
-    stabs = enc.stabilizer_generators
-    if stabs is None:
-        raise ValueError("stabilizers not derived")
-    translated: list[tuple[str, ...]] = []
-    for stab in stabs:
-        base = _naive_letters(stab)
-        for shift in lattice.ALL_SHIFTS:
-            moved = _naive_translate(base, shift, layout)
-            if moved is None or all(l == "I" for l in moved):
-                continue
-            if moved not in translated:
-                translated.append(moved)
-    span_rows = [_naive_vector(t) for t in translated]
-
-    for w in range(1, min(w_max, n) + 1):
-        for support in itertools.combinations(range(n), w):
-            # One representative per translation orbit: bounding box centered.
-            boxes = [lattice.cell_of(s, layout)[0] for s in support]
-            bw = max(b[0] for b in boxes) - min(b[0] for b in boxes) + 1
-            bh = max(b[1] for b in boxes) - min(b[1] for b in boxes) + 1
-            if min(b[0] for b in boxes) != (lattice.WINDOW - bw) // 2:
-                continue
-            if min(b[1] for b in boxes) != (lattice.WINDOW - bh) // 2:
-                continue
-            for letters in itertools.product("XYZ", repeat=w):
-                error = ["I"] * n
-                for slot, letter in zip(support, letters):
-                    error[slot] = letter
-                error_t = tuple(error)
-                if any(_naive_anticommutes(error_t, s) for s in translated):
-                    continue
-                if _naive_in_span(span_rows, _naive_vector(error_t)):
-                    continue
-                return DistanceResult.exact_distance(w)
-    return DistanceResult.lower_bound(w_max + 1)

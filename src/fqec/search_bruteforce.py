@@ -1,34 +1,55 @@
 """Depth-first enumeration of encodings with pruning and Pareto filtering.
 
 Generators are assigned in a fixed order (per mode: vertex, horizontal
-edge, vertical edge, then the diagonal edges the layout defines).  At every
-node the candidate Pauli words are restricted by:
+edge, vertical edge, then the diagonal edges the layout defines).  A word
+is tried for the next generator when it passes:
 
-* support touching the central cell, edges also touching their far cell;
-* qubit-activation order: a cell-local slot may be used only once every
-  lower local slot is used by some assigned generator (orbit-wise);
-* letter normalization: the first, second and third distinct letters ever
-  placed on a local slot must be Z, X, Y in that order, which kills the
-  single-qubit relabeling symmetry;
-* weight caps on vertices and on edge words / hopping terms;
-* windowed commutation against every assigned generator and against the
-  candidate's own translates.
+* static checks: support touching the central cell, edges also touching
+  their far cell, and weight within the vertex or edge cap;
+* qubit-activation order: when the assigned generators use cell-local
+  slots 0..a-1, the further locals a word uses must be a, a+1, ... with
+  none skipped;
+* letter normalization: reading the assigned generators in order and each
+  word's slots in ascending order, the first, second and third distinct
+  letters ever placed on a local slot must be Z, X, Y in that order, which
+  kills the single-qubit relabeling symmetry;
+* windowed commutation against every clipped translate of every assigned
+  generator.
+
+Survivors then face, in order, windowed commutation against their own
+translates, the hopping caps and the stochastic gate.
+
+The words that pass the static checks form the level's universe, built
+once per run and indexed in enumeration order: by weight, then
+``itertools.combinations`` support order, then ``itertools.product("XYZ")``
+letters, last slot fastest.  The search keeps each later level's domain as
+one int bitset over its universe.  Assigning a word ANDs every later domain
+with the words whose parity against each translate of it is the required
+one (forward checking: Haralick & Elliott, "Increasing tree search
+efficiency for constraint satisfaction problems", AI 14, 1980).  Activation
+and normalization depend only on how many letters each local has
+introduced (0 to 3), so they are precomputed bitsets as well.  A level
+walks the set bits of its domain and those masks in ascending order, which
+is the enumeration order.
 
 The whole tree is walked by one depth-first search in one thread.  Each
 completion is re-validated, measured, inserted into a Pareto front over
 (distance, max stabilizer weight, sigma_NN, sigma_NNN) and streamed as
-soon as it is found.  Every candidate of the first generator starts its own
-RNG stream, derived from the seed and the candidate's index, so a
-stochastic run draws the same numbers below a given first generator
-whatever came before it.
+soon as it is found.  Every candidate of the first generator (every word
+that passes the checks above, whether or not it commutes with its own
+translates) starts its own RNG stream, derived from the seed and the
+candidate's index, so a stochastic run draws the same numbers below a given
+first generator whatever came before it.
 """
 
 from __future__ import annotations
 
+import bisect
 import enum
 import itertools
 import random
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Callable, Iterator
 
 from . import fermion, lattice
@@ -50,10 +71,7 @@ from .fermion import (
     required_parity_table,
 )
 from .lattice import CENTER, UnitCellLayout
-from .symplectic import LETTER_BITS, PauliWord
-
-_INTRO_ORDER = ("Z", "X", "Y")
-
+from .symplectic import LETTER_BITS, PauliWord, weight
 
 class HoppingCapMode(enum.Enum):
     NN = "nn"
@@ -186,6 +204,133 @@ class SearchReport:
 # The DFS engine
 
 
+# (x, z) bits of the letters of a universe word in ``itertools.product("XYZ")``
+# digit order.
+_DIGIT_BITS = tuple(LETTER_BITS[letter] for letter in "XYZ")
+
+
+def _intro_rank(bx: int, bz: int) -> int:
+    """Position of the letter with bits (bx, bz) in the introduction order Z, X, Y."""
+    return bx + (bx & bz)
+
+
+@lru_cache(maxsize=None)
+def _component_pattern(w: int, pos: int, component: int) -> bytes:
+    """'1' for each word of a weight-w block whose letter at support position
+    ``pos`` has an X (``component`` 0) or a Z (1) part."""
+    run = 3 ** (w - 1 - pos)
+    return b"".join((b"1" if bits[component] else b"0") * run for bits in _DIGIT_BITS) * 3**pos
+
+
+@lru_cache(maxsize=None)
+def _normalization_pattern(w: int, positions: tuple[int, ...], introduced: int) -> bytes:
+    """'1' for each word of a weight-w block whose letters at ``positions`` keep
+    the Z, X, Y introduction order on a local that already has ``introduced``."""
+    out = bytearray(b"1" * 3**w)
+    for r in range(3**w):
+        count = introduced
+        for pos in positions:
+            rank = _intro_rank(*_DIGIT_BITS[(r // 3 ** (w - 1 - pos)) % 3])
+            if rank > count:
+                out[r] = ord("0")
+                break
+            if rank == count:
+                count += 1
+    return bytes(out)
+
+
+def _slots(mask: int) -> Iterator[int]:
+    """Positions of the set bits of a window mask, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+class _Universe:
+    """Every word one generator level may take, before any path check.
+
+    The words pass the static checks (anchoring and the weight cap) and are
+    indexed in enumeration order: by weight, then ``itertools.combinations``
+    support order, then ``itertools.product("XYZ")`` letters with the last
+    slot varying fastest.  Only the supports and their block offsets are
+    stored; ``word`` decodes an index.  The bitsets over the indices are:
+
+    * ``x_bits[slot]`` / ``z_bits[slot]``: words with an X (Z) component on
+      ``slot``; the XOR of ``x_bits`` over a word's Z slots and ``z_bits``
+      over its X slots is the set of universe words anticommuting with it;
+    * ``activation[k]``: words whose locals beyond the first k are k, k+1, ...;
+    * ``normalization[local][s]``: words whose letters on ``local`` keep the
+      introduction order when s letters (0 or 1) are already introduced
+      there; once Z and X are, every letter is allowed.
+    """
+
+    def __init__(self, layout: UnitCellLayout, cell_masks: tuple[int, ...], cap: int):
+        n, qpc = layout.n_slots, layout.qubits_per_cell
+        self.supports: list[tuple[int, ...]] = []
+        self.offsets: list[int] = []
+        size = 0
+        for w in range(1, cap + 1):
+            for support in itertools.combinations(range(n), w):
+                mask = 0
+                for slot in support:
+                    mask |= 1 << slot
+                if all(mask & required for required in cell_masks):
+                    self.supports.append(support)
+                    self.offsets.append(size)
+                    size += 3**w
+        self.full = (1 << size) - 1
+
+        def bitset(pattern: Callable[[tuple[int, ...]], bytes]) -> int:
+            """Bitset whose bits over each support's block are ``pattern(support)``."""
+            chars = b"".join(pattern(support) for support in self.supports)
+            return int(chars[::-1], 2) if chars else 0
+
+        def component_bits(slot: int, component: int) -> int:
+            return bitset(
+                lambda support: _component_pattern(len(support), support.index(slot), component)
+                if slot in support
+                else b"0" * 3 ** len(support)
+            )
+
+        def activation_bits(k: int) -> int:
+            def pattern(support: tuple[int, ...]) -> bytes:
+                new = sorted({slot % qpc for slot in support if slot % qpc >= k})
+                ok = new == list(range(k, k + len(new)))
+                return (b"1" if ok else b"0") * 3 ** len(support)
+
+            return bitset(pattern)
+
+        def normalization_bits(local: int, introduced: int) -> int:
+            return bitset(
+                lambda support: _normalization_pattern(
+                    len(support),
+                    tuple(p for p, slot in enumerate(support) if slot % qpc == local),
+                    introduced,
+                )
+            )
+
+        self.x_bits = [component_bits(slot, 0) for slot in range(n)]
+        self.z_bits = [component_bits(slot, 1) for slot in range(n)]
+        self.activation = [activation_bits(k) for k in range(qpc)]
+        self.normalization = [
+            [normalization_bits(local, introduced) for introduced in range(2)]
+            for local in range(qpc)
+        ]
+
+    def word(self, index: int) -> tuple[int, int]:
+        """(x, z) masks of the word at ``index``."""
+        block = bisect.bisect_right(self.offsets, index) - 1
+        r = index - self.offsets[block]
+        x = z = 0
+        for slot in reversed(self.supports[block]):
+            r, digit = divmod(r, 3)
+            bx, bz = _DIGIT_BITS[digit]
+            x |= bx << slot
+            z |= bz << slot
+        return x, z
+
+
 class _SearchContext:
     """Per-run constants plus the mutable state of the depth-first search."""
 
@@ -201,18 +346,17 @@ class _SearchContext:
         self.shift_tables = [tables[shift] for shift in self.shifts]
 
         center_mask = _cell_mask(layout, CENTER)
-        self.required_cell_masks: list[tuple[int, ...]] = []
-        self.caps: list[int] = []
+        self.universes: list[_Universe] = []
         for gen in self.gen_order:
             if gen.kind is GeneratorKind.VERTEX:
-                self.required_cell_masks.append((center_mask,))
-                self.caps.append(cfg.max_vertex_weight)
+                masks: tuple[int, ...] = (center_mask,)
+                cap = cfg.max_vertex_weight
             else:
                 off = far_cell_offset(layout, gen)
                 far_mask = _cell_mask(layout, (CENTER[0] + off[0], CENTER[1] + off[1]))
                 masks = (center_mask,) if far_mask == center_mask else (center_mask, far_mask)
-                self.required_cell_masks.append(masks)
-                self.caps.append(cfg.max_edge_or_hopping_weight)
+                cap = cfg.max_edge_or_hopping_weight
+            self.universes.append(_Universe(layout, masks, cap))
 
         req = required_parity_table(layout)
         n_gen = len(self.gen_order)
@@ -224,13 +368,12 @@ class _SearchContext:
             for i in range(n_gen)
         ]
 
-        # Mutable search state.
+        # Mutable search state: the assigned prefix, each level's domain and
+        # the letters introduced per local, with one undo entry per level.
         self.assigned: list[tuple[int, int]] = []
-        self.assigned_translates: list[list[tuple[int, int]]] = []
-        self.intro: list[list[str]] = [[] for _ in range(self.qpc)]
-        # Per-level bit-parallel commutation tables (see _begin_level).
-        self.contrib: list[dict[str, int]] = []
-        self.required_mask: int = 0
+        self.domains: list[int] = [u.full for u in self.universes]
+        self.intro: list[int] = [0] * self.qpc
+        self._undo: list[tuple[list[int], list[int]]] = []
 
     # -- candidate enumeration -------------------------------------------
 
@@ -238,103 +381,23 @@ class _SearchContext:
         """Clipped window translates of a word, in ``self.shifts`` order."""
         return [lattice._translate_masks(x, z, table, True) for table in self.shift_tables]
 
-    def _begin_level(self, gi: int) -> None:
-        """Build the bit-parallel commutation tables for generator level ``gi``.
-
-        Bit (j * 25 + k) of the accumulator tracks the parity of the
-        candidate against the k-th clipped translate of assigned generator
-        j; a candidate is consistent iff the accumulated vector equals the
-        required-parity mask.  The XOR accumulation runs per placed letter,
-        so rejected candidates cost O(weight) integer operations.
-        """
-        n_shifts = len(self.shifts)
-        contrib: list[dict[str, int]] = []
-        for slot in range(self.n):
-            per_letter: dict[str, int] = {}
-            for letter in ("X", "Y", "Z"):
-                cx, cz = LETTER_BITS[letter]
-                acc = 0
-                bit = 0
-                for translates in self.assigned_translates:
-                    for tx, tz in translates:
-                        lx = (tx >> slot) & 1
-                        lz = (tz >> slot) & 1
-                        if (cx & lz) ^ (cz & lx):
-                            acc |= 1 << bit
-                        bit += 1
-                per_letter[letter] = acc
-            contrib.append(per_letter)
-        self.contrib = contrib
-        mask = 0
-        bit = 0
-        for j in range(len(self.assigned)):
-            req = self.required[gi][j]
-            for k in range(n_shifts):
-                if req[k]:
-                    mask |= 1 << bit
-                bit += 1
-        self.required_mask = mask
-
-    def _support_ok(self, support: tuple[int, ...], gi: int) -> bool:
-        mask = 0
-        for slot in support:
-            mask |= 1 << slot
-        for required in self.required_cell_masks[gi]:
-            if not mask & required:
-                return False
-        # Activation order: new locals must extend the active prefix.
-        active = sum(1 for letters in self.intro if letters)
-        new_locals = sorted(
-            {slot % self.qpc for slot in support if not self.intro[slot % self.qpc]}
-        )
-        return new_locals == list(range(active, active + len(new_locals)))
-
-    def _letters(
-        self, support: tuple[int, ...], idx: int, x: int, z: int, acc: int
-    ) -> Iterator[tuple[int, int, int]]:
-        # The tentative introductions stay applied while a candidate is
-        # yielded, so deeper generators see exactly the extended state; they
-        # unwind automatically when enumeration resumes.
-        if idx == len(support):
-            yield x, z, acc
-            return
-        slot = support[idx]
-        introduced = self.intro[slot % self.qpc]
-        if len(introduced) >= 3:
-            allowed = _INTRO_ORDER
-        else:
-            allowed = tuple(introduced) + (_INTRO_ORDER[len(introduced)],)
-        slot_contrib = self.contrib[slot]
-        for letter in ("X", "Y", "Z"):
-            if letter not in allowed:
-                continue
-            fresh = letter not in introduced
-            if fresh:
-                introduced.append(letter)
-            bx, bz = LETTER_BITS[letter]
-            yield from self._letters(
-                support,
-                idx + 1,
-                x | bx << slot,
-                z | bz << slot,
-                acc ^ slot_contrib[letter],
-            )
-            if fresh:
-                introduced.pop()
-
-    def candidates(self, gi: int) -> Iterator[tuple[int, int, int]]:
-        """Candidate (x, z, parity accumulator) triples for level ``gi``.
-
-        ``_begin_level(gi)`` must have been called for the current assigned
-        prefix; the accumulator equals ``required_mask`` exactly when the
-        candidate satisfies every windowed parity against assigned
-        generators.
-        """
-        for w in range(1, self.caps[gi] + 1):
-            for support in itertools.combinations(range(self.n), w):
-                if not self._support_ok(support, gi):
-                    continue
-                yield from self._letters(support, 0, 0, 0, 0)
+    def survivors(self, gi: int) -> Iterator[tuple[int, int]]:
+        """Words of level ``gi`` that pass activation order, letter
+        normalization and every windowed parity against the assigned prefix,
+        as (x, z) masks in universe order."""
+        universe = self.universes[gi]
+        mask = self.domains[gi]
+        active = sum(1 for count in self.intro if count)
+        if active < self.qpc:
+            mask &= universe.activation[active]
+        for local, count in enumerate(self.intro):
+            if count < 2:
+                mask &= universe.normalization[local][count]
+        bits = bin(mask)[:1:-1]
+        index = bits.find("1")
+        while index >= 0:
+            yield universe.word(index)
+            index = bits.find("1", index + 1)
 
     # -- pruning checks ----------------------------------------------------
 
@@ -347,12 +410,36 @@ class _SearchContext:
         return True
 
     def assign(self, x: int, z: int) -> None:
+        """Append a word to the prefix: filter every later domain by its
+        translates and introduce its letters."""
+        gi = len(self.assigned)
+        self._undo.append((self.domains, self.intro))
+        domains = self.domains[:]
+        translates = self.translates(x, z)
+        for li in range(gi + 1, len(self.universes)):
+            universe = self.universes[li]
+            domain = domains[li]
+            for (tx, tz), parity in zip(translates, self.required[li][gi]):
+                if not domain:
+                    break
+                anti = 0
+                for slot in _slots(tz):
+                    anti ^= universe.x_bits[slot]
+                for slot in _slots(tx):
+                    anti ^= universe.z_bits[slot]
+                domain = domain & anti if parity else domain & ~anti
+            domains[li] = domain
+        intro = self.intro[:]
+        for slot in _slots(x | z):
+            local = slot % self.qpc
+            if _intro_rank(x >> slot & 1, z >> slot & 1) == intro[local]:
+                intro[local] += 1
+        self.domains, self.intro = domains, intro
         self.assigned.append((x, z))
-        self.assigned_translates.append(self.translates(x, z))
 
     def unassign(self) -> None:
         self.assigned.pop()
-        self.assigned_translates.pop()
+        self.domains, self.intro = self._undo.pop()
 
     def _partial_encoding(self, extra: tuple[int, tuple[int, int]] | None) -> EncodingCandidate:
         gens: dict[FermionGeneratorId, PauliWord] = {}
@@ -429,6 +516,9 @@ def _passes_completion_filters(
 ) -> bool:
     if metrics.distance.value < cfg.min_distance_filter:
         return False
+    for gen, word in enc.generators.items():
+        if gen.kind is GeneratorKind.VERTEX and weight(word) > cfg.max_vertex_weight:
+            return False
     weights = dict(metrics.term_weights)
     capped_nnn = cfg.hopping_cap_mode is HoppingCapMode.NN_AND_NNN
     relevant: list[int] = []
@@ -503,16 +593,12 @@ def brute_force_search(
 
     def dfs(gi: int, rng: random.Random | None) -> bool:
         """Walk level ``gi`` and below; False once the node budget cuts the run."""
-        ctx._begin_level(gi)
-        required_mask = ctx.required_mask
-        for index, (x, z, acc) in enumerate(ctx.candidates(gi)):
+        for index, (x, z) in enumerate(ctx.survivors(gi)):
             if gi == 0:
                 if budget is not None and report.nodes >= budget:
                     report.truncated = True
                     return False
                 rng = random.Random(derive_subtree_seed(cfg.rng_seed, index))
-            if acc != required_mask:
-                continue
             if not ctx.self_commutation_ok(gi, x, z):
                 continue
             if not ctx.hop_caps_ok(gi, x, z):
@@ -529,7 +615,6 @@ def brute_force_search(
             elif not dfs(gi + 1, rng):
                 return False
             ctx.unassign()
-            ctx._begin_level(gi)
         return True
 
     dfs(0, None)

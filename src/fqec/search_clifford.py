@@ -107,6 +107,12 @@ class CliffordConfig:
             raise ValueError("sample counts must be non-negative")
         if self.max_sequence_length < 0:
             raise ValueError("max_sequence_length must be non-negative")
+        if self.min_distance_filter < 1:
+            raise ValueError("min_distance_filter must be at least 1")
+        if self.max_vertex_weight is not None and self.max_vertex_weight < 1:
+            raise ValueError("max_vertex_weight must be at least 1")
+        if self.max_edge_or_hopping_weight is not None and self.max_edge_or_hopping_weight < 1:
+            raise ValueError("max_edge_or_hopping_weight must be at least 1")
         if self.min_logical_weight_filter is not None and self.min_logical_weight_filter < 1:
             raise ValueError("min_logical_weight_filter must be at least 1")
         if self.sequence_budget is not None and self.sequence_budget < 1:

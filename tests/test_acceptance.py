@@ -23,7 +23,7 @@ from conftest import (
     vc_like,
     window_jw_instances,
 )
-from fqec.distance import DistanceBudget, min_distance, naive_min_distance
+from fqec.distance import DistanceBudget, min_distance
 from fqec.encoding import EncodingCandidate, derive_stabilizers, validate
 from fqec.fermion import (
     FermionGeneratorId,
@@ -56,6 +56,7 @@ from fqec.search_clifford import (
     apply_clifford,
 )
 from fqec.symplectic import PauliWord, commute_parity, multiply, weight
+from oracles import naive_min_distance
 
 NN2 = UnitCellLayout(2, Scheme.TWO_GRIDS, EdgeSet.NN_SQUARE)
 

@@ -165,9 +165,37 @@ class TestDeformCommand:
         assert main(["deform", cfg, "--output", str(tmp_path / "d.jsonl")]) == 1
         assert "sequence_budget" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "line, field",
+        [
+            ("min-distance = 0", "min_distance_filter"),
+            ("max-vertex-weight = 0", "max_vertex_weight"),
+            ("max-hopping-weight = 0", "max_edge_or_hopping_weight"),
+        ],
+    )
+    def test_filter_below_one_exits_one(self, tmp_path, capsys, line, field):
+        cfg = deform_config(tmp_path, extra=line + "\n")
+        assert main(["deform", cfg, "--output", str(tmp_path / "d.jsonl")]) == 1
+        assert f"{field} must be at least 1" in capsys.readouterr().err
+
     def test_w_max_below_one_exits_one(self, tmp_path, capsys):
         cfg = deform_config(tmp_path)
         assert main(["deform", cfg, "--output", str(tmp_path / "d.jsonl"), "--w-max", "0"]) == 1
+
+    def test_max_vertex_weight_filters_deformations(self, tmp_path, capsys):
+        # The d2 fixture's vertex has weight 2, and the intra-cell CNOTs of
+        # the gate set raise it to 3 in two of the seven sequences.
+        emitted = {}
+        for cap in (1, 2):
+            out = tmp_path / f"cap{cap}.jsonl"
+            cfg = deform_config(tmp_path, extra=f"max-vertex-weight = {cap}\n")
+            assert main(["deform", cfg, "--output", str(out)]) == 0
+            report = json.loads(capsys.readouterr().out)["report"]
+            emitted[cap] = [json.loads(line) for line in out.read_text().splitlines()]
+            assert (report["nodes"], report["filtered"]) == (7, 7 if cap == 1 else 2)
+            for doc in emitted[cap]:
+                assert len(doc["generators"]["vertex:0"]) <= cap
+        assert emitted[1] == [] and len(emitted[2]) == 5
 
     def test_sequence_budget_exits_two(self, tmp_path, capsys):
         cfg = write(

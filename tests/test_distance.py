@@ -11,13 +11,13 @@ from fqec.distance import (
     canonical_supports,
     is_logical,
     min_distance,
-    naive_min_distance,
     translated_stabilizers,
 )
 from fqec.encoding import derive_stabilizers
 from fqec.fermion import EDGE_DIRECTIONS, GeneratorKind, hopping_pair
 from fqec.lattice import EdgeSet, Scheme, UnitCellLayout, cell_of, slot_of
 from fqec.symplectic import PauliWord
+from oracles import naive_min_distance
 
 
 class TestDistanceResult:

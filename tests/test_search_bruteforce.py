@@ -5,22 +5,24 @@ import random
 
 import pytest
 
-from fqec.distance import naive_min_distance
 from fqec.encoding import EncodingCandidate, validate
 from fqec.fermion import generator_ids
 from fqec.lattice import EdgeSet, Scheme, UnitCellLayout, cell_index
 from fqec.search_bruteforce import (
     ParetoFront,
     SearchConfig,
+    _SearchContext,
     brute_force_search,
     derive_subtree_seed,
     dominates,
     stochastic_gate,
 )
 from fqec.symplectic import PauliWord
+from oracles import naive_min_distance, search_candidates
 
 QPC1 = UnitCellLayout(1, Scheme.TWO_GRIDS, EdgeSet.NN_SQUARE)
 QPC2 = UnitCellLayout(2, Scheme.TWO_GRIDS, EdgeSet.NN_SQUARE)
+MIXED2 = UnitCellLayout(2, Scheme.MIXED, EdgeSet.NN_SQUARE)
 
 
 def run_search(cfg, **kwargs):
@@ -164,6 +166,50 @@ class TestSearchTinyExhaustive:
         keys = {enc.canonical_key() for enc in completions}
         assert report.completions > 0
         assert vc_encoding.canonical_key() in keys
+
+
+class TestCandidateEngine:
+    """The forward-checked survivors equal a one-word-at-a-time oracle's."""
+
+    @pytest.mark.parametrize(
+        "layout, vertex_cap, edge_cap",
+        [(QPC2, 2, 4), (QPC1, 2, 2), (MIXED2, 2, 3)],
+        ids=["qpc2", "qpc1", "mixed"],
+    )
+    def test_survivors_match_oracle_on_budget_60_prefixes(self, layout, vertex_cap, edge_cap):
+        cfg = SearchConfig(
+            layout=layout, max_vertex_weight=vertex_cap, max_edge_or_hopping_weight=edge_cap,
+            rng_seed=7, node_budget=60,
+        )
+        _, report = run_search(cfg)
+        # Walk the same tree as the budgeted run, checking every level entered.
+        ctx = _SearchContext(cfg)
+        n_levels = len(ctx.gen_order)
+        walked = {"nodes": 0, "completions": 0, "levels": 0}
+
+        def walk(gi):
+            survivors = list(ctx.survivors(gi))
+            prefix = [PauliWord(x, z, layout.n_slots) for x, z in ctx.assigned]
+            expected = search_candidates(layout, vertex_cap, edge_cap, prefix)
+            assert survivors == [(w.x_mask, w.z_mask) for w in expected], (gi, prefix)
+            walked["levels"] += 1
+            for x, z in survivors:
+                if walked["nodes"] >= cfg.node_budget:
+                    return False
+                if not (ctx.self_commutation_ok(gi, x, z) and ctx.hop_caps_ok(gi, x, z)):
+                    continue
+                walked["nodes"] += 1
+                ctx.assign(x, z)
+                if gi + 1 == n_levels:
+                    walked["completions"] += 1
+                elif not walk(gi + 1):
+                    return False
+                ctx.unassign()
+            return True
+
+        walk(0)
+        assert (walked["nodes"], walked["completions"]) == (report.nodes, report.completions)
+        assert walked["levels"] > 1
 
 
 class TestSearchSoundness:
