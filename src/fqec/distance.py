@@ -7,6 +7,16 @@ logical operator and its weight bounds the distance.  Errors are enumerated
 in one sequential scan at weight 1, 2, ... until a logical is found or the
 budget runs out.
 
+Classification is linear.  A syndrome table, built once per call, holds
+for each slot and letter one int whose bit ``j`` is set iff that letter
+anticommutes with translate ``j``; an error's syndrome is the XOR of its
+letters' entries.  Supports come in combinations order, so consecutive
+supports share prefixes: the scan keeps, per prefix length, the set of
+syndromes of every letter choice on the prefix and rebuilds only the levels
+past the first slot that changed.  An error on a support is undetected iff
+a last-slot letter's syndrome lies in the set of the other slots; only such
+supports have their errors built and tested against the span.
+
 Translations that fall partially outside the open 3x3 window are excluded
 from the check set (a clipped stabilizer is not a stabilizer), matching the
 windowed reading of the search restrictions.  Errors are enumerated one
@@ -28,6 +38,8 @@ from .symplectic import LETTER_BITS, PauliWord, SymplecticBasis
 
 if TYPE_CHECKING:  # pragma: no cover
     from .encoding import EncodingCandidate
+
+_LETTERS = "XYZ"
 
 
 @dataclass(frozen=True)
@@ -87,61 +99,122 @@ def _stabilizer_span(n_slots: int, stabs: Iterable[PauliWord]) -> SymplecticBasi
     return basis
 
 
+def _syndrome_table(n_slots: int, stabs: list[PauliWord]) -> list[tuple[int, int, int]]:
+    """Per slot, the syndromes of X, Y and Z there.
+
+    Bit ``j`` of a letter's syndrome is set iff that letter anticommutes
+    with ``stabs[j]``; an error's syndrome is the XOR of its letters'.
+    """
+    sx = [0] * n_slots
+    sz = [0] * n_slots
+    for j, stab in enumerate(stabs):
+        bit = 1 << j
+        for slot in stab.support_slots():
+            if stab.z_mask >> slot & 1:
+                sx[slot] |= bit
+            if stab.x_mask >> slot & 1:
+                sz[slot] |= bit
+    return [(x, x ^ z, z) for x, z in zip(sx, sz)]
+
+
+def _check_set(enc: "EncodingCandidate") -> tuple[list[tuple[int, int, int]], SymplecticBasis]:
+    """Syndrome table and span of the window-translated stabilizers."""
+    n = enc.layout.n_slots
+    stabs = translated_stabilizers(enc)
+    return _syndrome_table(n, stabs), _stabilizer_span(n, stabs)
+
+
+def _is_logical(e: PauliWord, table: list[tuple[int, int, int]], basis: SymplecticBasis) -> bool:
+    """True iff ``e`` is neither detected (nonzero syndrome) nor trivial (in the span)."""
+    syndrome = 0
+    for slot in e.support_slots():
+        syndrome ^= table[slot][_LETTERS.index(e.letter(slot))]
+    return syndrome == 0 and not basis.contains(e)
+
+
+# Column (row) sets of a centered support as bit masks, one bit per window
+# column (row): {1}, {0, 1}, {0, 2} or {0, 1, 2}.  A cell bounding box of
+# size b is centered when it starts at (WINDOW - b) // 2.
+_CENTERED = frozenset((0b010, 0b011, 0b101, 0b111))
+
+
 def canonical_supports(layout, w: int) -> list[tuple[int, ...]]:
     """Weight-w slot supports, one per translation orbit, centered in the window.
 
     A support is canonical when its cell bounding box of size (bw, bh)
     starts at ((WINDOW - bw) // 2, (WINDOW - bh) // 2); every orbit that
-    fits the window has exactly one such placement.
+    fits the window has exactly one such placement.  Supports come in
+    ``itertools.combinations`` order.  The walk ORs each slot's column and
+    row bits down the prefix and tests the two sets at the last slot.
     """
     qpc = layout.qubits_per_cell
+    n = layout.n_slots
     cells = lattice._cells_by_index()
-    out = []
-    for support in itertools.combinations(range(layout.n_slots), w):
-        xs = [cells[s // qpc][0] for s in support]
-        ys = [cells[s // qpc][1] for s in support]
-        bw = max(xs) - min(xs) + 1
-        bh = max(ys) - min(ys) + 1
-        if min(xs) == (lattice.WINDOW - bw) // 2 and min(ys) == (lattice.WINDOW - bh) // 2:
-            out.append(support)
+    cols = [1 << cells[s // qpc][0] for s in range(n)]
+    rows = [1 << cells[s // qpc][1] for s in range(n)]
+    out: list[tuple[int, ...]] = []
+    prefix: list[int] = []
+
+    def walk(start: int, col: int, row: int) -> None:
+        if len(prefix) == w - 1:
+            for s in range(start, n):
+                if col | cols[s] in _CENTERED and row | rows[s] in _CENTERED:
+                    out.append((*prefix, s))
+            return
+        for s in range(start, n - (w - 1 - len(prefix))):
+            prefix.append(s)
+            walk(s + 1, col | cols[s], row | rows[s])
+            prefix.pop()
+
+    walk(0, 0, 0)
+    # ``walk`` refers to itself through its closure cell; deleting it breaks
+    # that cycle, so ``out`` is freed as soon as the caller drops it, not at
+    # the next garbage collection.
+    del walk
     return out
 
 
 def is_logical(e: PauliWord, enc: "EncodingCandidate") -> bool:
     """True iff ``e`` commutes with every translated stabilizer but is not in their span."""
-    stabs = translated_stabilizers(enc)
-    for s in stabs:
-        if ((e.x_mask & s.z_mask).bit_count() + (e.z_mask & s.x_mask).bit_count()) & 1:
-            return False
-    basis = _stabilizer_span(e.n_slots, stabs)
-    return not basis.contains(e)
+    if e.n_slots != enc.layout.n_slots:
+        raise ValueError(f"slot count mismatch: {e.n_slots} vs {enc.layout.n_slots}")
+    return _is_logical(e, *_check_set(enc))
 
 
 def min_distance(enc: "EncodingCandidate", budget: DistanceBudget) -> DistanceResult:
     """Exact minimum distance up to ``budget.w_max``, else a lower bound.
 
-    Weights are scanned in increasing order; within a weight, supports in
-    ``canonical_supports`` order and letters in X, Y, Z order.  The first
-    logical error settles the distance.
+    Weights are scanned in increasing order, supports in
+    ``canonical_supports`` order.  ``levels[d]`` holds the syndromes of every
+    letter choice on the current support's first ``d`` slots and is rebuilt
+    only from the first slot where the support differs from the previous
+    one.  A letter choice on the last slot completes a zero syndrome iff its
+    syndrome is in ``levels[w - 1]``; only then are the support's errors
+    built and classified.
     """
     layout = enc.layout
     n = layout.n_slots
-    stabs = translated_stabilizers(enc)
-    stab_pairs = [(s.x_mask, s.z_mask) for s in stabs]
-    basis = _stabilizer_span(n, stabs)
-    letter_bits = [LETTER_BITS[letter] for letter in ("X", "Y", "Z")]
+    table, basis = _check_set(enc)
     for w in range(1, min(budget.w_max, n) + 1):
-        letter_sets = list(itertools.product(letter_bits, repeat=w))
+        last = w - 1
+        levels = [{0}]
+        prev = (-1,) * w
         for support in canonical_supports(layout, w):
-            for letters in letter_sets:
+            k = 0
+            while k < last and support[k] == prev[k]:
+                k += 1
+            del levels[k + 1 :]
+            for slot in support[k:last]:
+                levels.append({p ^ t for p in levels[-1] for t in table[slot]})
+            prev = support
+            if levels[last].isdisjoint(table[support[last]]):
+                continue
+            for letters in itertools.product(_LETTERS, repeat=w):
                 x = z = 0
-                for slot, (bx, bz) in zip(support, letters):
+                for slot, letter in zip(support, letters):
+                    bx, bz = LETTER_BITS[letter]
                     x |= bx << slot
                     z |= bz << slot
-                for sx, sz in stab_pairs:
-                    if ((x & sz).bit_count() + (z & sx).bit_count()) & 1:
-                        break
-                else:
-                    if not basis.contains(PauliWord(x, z, n)):
-                        return DistanceResult.exact_distance(w)
+                if _is_logical(PauliWord(x, z, n), table, basis):
+                    return DistanceResult.exact_distance(w)
     return DistanceResult.lower_bound(budget.w_max + 1)

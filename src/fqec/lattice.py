@@ -18,7 +18,7 @@ import enum
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .symplectic import MAX_SLOTS, PauliWord
+from .symplectic import PauliWord
 
 WINDOW = 3
 CENTER = (1, 1)
@@ -82,8 +82,6 @@ class UnitCellLayout:
             raise ValueError(
                 f"qubits_per_cell must be in 1..6, got {self.qubits_per_cell}"
             )
-        if self.qubits_per_cell * WINDOW * WINDOW > MAX_SLOTS:
-            raise ValueError("window does not fit the 64-slot packing")
         if self.scheme is not Scheme.TWO_GRIDS and self.modes_per_cell != 2:
             raise AssertionError("two-mode schemes must report two modes")
 

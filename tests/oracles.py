@@ -1,7 +1,9 @@
 """Slow test-side oracles that share no code with the kernels they check.
 
 ``naive_min_distance`` re-implements ``fqec.distance.min_distance`` on dense
-letter arrays with no bit packing and no pruning.  ``search_candidates``
+letter arrays with no bit packing and no pruning.  ``canonical_supports``
+filters every slot combination by its cell bounding box, where
+``fqec.distance.canonical_supports`` walks prefixes.  ``search_candidates``
 lists the words the brute-force search may try for one generator, straight
 from the rules in the ``fqec.search_bruteforce`` docstring.
 """
@@ -78,6 +80,20 @@ def _naive_in_span(rows: list[list[int]], vec: list[int]) -> bool:
         if cur[lead]:
             cur = [a ^ b for a, b in zip(cur, prow)]
     return not any(cur)
+
+
+def canonical_supports(layout, w: int) -> list[tuple[int, ...]]:
+    """Weight-w supports whose cell bounding box is centered, combinations order."""
+    out = []
+    for support in itertools.combinations(range(layout.n_slots), w):
+        cells = [lattice.cell_of(slot, layout)[0] for slot in support]
+        xs = [x for x, _ in cells]
+        ys = [y for _, y in cells]
+        bw = max(xs) - min(xs) + 1
+        bh = max(ys) - min(ys) + 1
+        if min(xs) == (lattice.WINDOW - bw) // 2 and min(ys) == (lattice.WINDOW - bh) // 2:
+            out.append(support)
+    return out
 
 
 def naive_min_distance(enc: "EncodingCandidate", w_max: int) -> DistanceResult:

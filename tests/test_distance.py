@@ -13,11 +13,41 @@ from fqec.distance import (
     min_distance,
     translated_stabilizers,
 )
-from fqec.encoding import derive_stabilizers
+from fqec.encoding import EncodingCandidate, derive_stabilizers
 from fqec.fermion import EDGE_DIRECTIONS, GeneratorKind, hopping_pair
-from fqec.lattice import EdgeSet, Scheme, UnitCellLayout, cell_of, slot_of
+from fqec.lattice import CENTER, EdgeSet, Scheme, UnitCellLayout, cell_of, slot_of
 from fqec.symplectic import PauliWord
+from oracles import canonical_supports as filtered_supports
 from oracles import naive_min_distance
+
+FIVE_QUBIT_CODE = ("XZZXI", "IXZZX", "XIXZZ", "ZXIXZ")
+
+
+def cell_local_group(words: tuple[str, ...]) -> EncodingCandidate:
+    """Stabilizer-only encoding: ``words`` act on the centre cell's locals.
+
+    Their window translates put a copy of the group on every cell.
+    """
+    layout = UnitCellLayout(len(words[0]), Scheme.TWO_GRIDS, EdgeSet.NN_SQUARE)
+    stabs = []
+    for text in words:
+        word = PauliWord.identity(layout.n_slots)
+        for local, letter in enumerate(text):
+            if letter != "I":
+                word = word.with_letter(slot_of(CENTER, local, layout), letter)
+        stabs.append(word)
+    return EncodingCandidate(layout, {}, stabilizer_generators=tuple(stabs))
+
+
+def cycle_graph_state(qpc: int) -> tuple[str, ...]:
+    """Generators X_i Z_{i-1} Z_{i+1} of the graph state of a qpc-cycle."""
+    words = []
+    for i in range(qpc):
+        letters = ["I"] * qpc
+        letters[i] = "X"
+        letters[(i - 1) % qpc] = letters[(i + 1) % qpc] = "Z"
+        words.append("".join(letters))
+    return tuple(words)
 
 
 class TestDistanceResult:
@@ -53,6 +83,11 @@ class TestMinDistance:
     def test_identity_not_logical(self, vc_encoding):
         assert not is_logical(PauliWord.identity(vc_encoding.layout.n_slots), vc_encoding)
 
+    def test_slot_count_mismatch_rejected(self, vc_encoding):
+        n = vc_encoding.layout.n_slots
+        with pytest.raises(ValueError, match="slot count mismatch"):
+            is_logical(PauliWord.single("X", n, n + 1), vc_encoding)
+
     def test_hopping_terms_are_logical(self, vc_encoding):
         for kind in (GeneratorKind.EDGE_RIGHT, GeneratorKind.EDGE_UP):
             for term in hopping_pair(vc_encoding, 0, EDGE_DIRECTIONS[kind]):
@@ -78,7 +113,7 @@ class TestMinDistance:
             return out
 
         gens = {gen: relabel(w) for gen, w in vc_encoding.generators.items()}
-        from fqec.encoding import EncodingCandidate, validate
+        from fqec.encoding import validate
 
         enc = EncodingCandidate(layout, gens)
         assert validate(enc) == []
@@ -94,6 +129,13 @@ class TestCanonicalSupports:
         supports = canonical_supports(layout, 1)
         cells = {cell_of(s, layout)[0] for (s,) in supports}
         assert cells == {(1, 1)}
+
+    def test_matches_filter_oracle(self):
+        # Same list, same order as filtering every combination.
+        for qpc in range(1, 7):
+            layout = UnitCellLayout(qpc, Scheme.TWO_GRIDS, EdgeSet.NN_SQUARE)
+            for w in range(1, 5 if qpc <= 4 else 4):
+                assert canonical_supports(layout, w) == filtered_supports(layout, w), (qpc, w)
 
     def test_one_per_orbit(self):
         # Every weight-2 support is a translate of exactly one canonical one.
@@ -118,6 +160,34 @@ class TestCanonicalSupports:
                 if ok and tuple(sorted(moved)) in canonical:
                     hits += 1
             assert hits == 1
+
+
+class TestFullRankGroups:
+    """Cell-local groups whose translates span every error that they do not detect."""
+
+    @pytest.mark.parametrize("qpc", [3, 4])
+    def test_zero_syndrome_stabilizers_stay_trivial(self, qpc):
+        # The weight-3 generators (and their weight-4 products) commute with
+        # every translate; counting them as logicals would give Exact 3.
+        enc = cell_local_group(cycle_graph_state(qpc))
+        assert enc.layout.n_slots == 9 * qpc
+        for stab in enc.stabilizer_generators:
+            assert not is_logical(stab, enc)
+        assert min_distance(enc, DistanceBudget(4)) == DistanceResult.lower_bound(5)
+
+    def test_27_slots_match_oracle(self):
+        enc = cell_local_group(cycle_graph_state(3))
+        expected = DistanceResult.lower_bound(4)
+        assert min_distance(enc, DistanceBudget(3)) == naive_min_distance(enc, 3) == expected
+
+
+class TestFiveQubitCode:
+    def test_distance_three(self):
+        # 45 slots, the five-qubit code on every cell: the first distance 3.
+        enc = cell_local_group(FIVE_QUBIT_CODE)
+        assert enc.layout.n_slots == 45
+        expected = DistanceResult.exact_distance(3)
+        assert min_distance(enc, DistanceBudget(4)) == naive_min_distance(enc, 3) == expected
 
 
 class TestDifferential:
