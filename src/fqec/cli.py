@@ -225,53 +225,44 @@ def _hamiltonian_from_flag(text: str) -> HamiltonianSpec:
     return HamiltonianSpec(t=t, t_prime=t_prime, U=u)
 
 
-def _write_front(front: ParetoFront, path: str, provenance: dict | None) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        for entry in front.snapshot():
-            doc = encoding_to_document(entry.encoding, provenance)
-            handle.write(dumps_document(doc) + "\n")
+def _run_search(args: argparse.Namespace, load, hash_key: str, search) -> int:
+    """Run ``search`` on the config that ``load`` reads, streaming each
+    accepted encoding; then write the front and print the report.
 
-
-def cmd_search(args: argparse.Namespace) -> int:
-    cfg = search_config_from_file(args.config, args.seed)
-    provenance = {"search_config_hash": _config_hash(args.config)}
+    A deform sink's provenance adds to the config hash.  Exits with
+    ``EXIT_TRUNCATED`` when the search's budget cut it.
+    """
+    cfg = load(args.config, args.seed)
+    provenance = {hash_key: _config_hash(args.config)}
     front = ParetoFront()
     out = open(args.output, "w", encoding="utf-8") if args.output else sys.stdout
 
-    def sink(enc) -> None:
-        out.write(dumps_document(encoding_to_document(enc, provenance)) + "\n")
-
-    try:
-        report = brute_force_search(cfg, sink, final_w_max=args.w_max, front=front)
-    finally:
-        if out is not sys.stdout:
-            out.close()
-    if args.front_output:
-        _write_front(front, args.front_output, provenance)
-    print(json.dumps({"report": report.to_json()}))
-    return EXIT_TRUNCATED if report.truncated else EXIT_OK
-
-
-def cmd_deform(args: argparse.Namespace) -> int:
-    cfg = clifford_config_from_file(args.config, args.seed)
-    base_provenance = {"deform_config_hash": _config_hash(args.config)}
-    front = ParetoFront()
-    out = open(args.output, "w", encoding="utf-8") if args.output else sys.stdout
-
-    def sink(enc, provenance) -> None:
-        merged = dict(base_provenance)
-        merged.update(provenance)
+    def write(enc, extra: dict | None = None) -> None:
+        merged = dict(provenance, **extra) if extra else provenance
         out.write(dumps_document(encoding_to_document(enc, merged)) + "\n")
 
     try:
-        report = clifford_deform_search(cfg, sink, final_w_max=args.w_max, front=front)
+        report = search(cfg, write, final_w_max=args.w_max, front=front)
     finally:
         if out is not sys.stdout:
             out.close()
     if args.front_output:
-        _write_front(front, args.front_output, base_provenance)
+        with open(args.front_output, "w", encoding="utf-8") as handle:
+            for entry in front.snapshot():
+                doc = encoding_to_document(entry.encoding, provenance)
+                handle.write(dumps_document(doc) + "\n")
     print(json.dumps({"report": report.to_json()}))
     return EXIT_TRUNCATED if report.truncated else EXIT_OK
+
+
+def cmd_search(args: argparse.Namespace) -> int:
+    return _run_search(args, search_config_from_file, "search_config_hash", brute_force_search)
+
+
+def cmd_deform(args: argparse.Namespace) -> int:
+    return _run_search(
+        args, clifford_config_from_file, "deform_config_hash", clifford_deform_search
+    )
 
 
 def cmd_distance(args: argparse.Namespace) -> int:
@@ -384,7 +375,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_search.add_argument("--seed", type=int, help="override the config seed")
     p_search.add_argument(
         "--w-max", type=_positive_int, default=None,
-        help="distance budget for re-measuring accepted encodings",
+        help="measure each encoding once, at distance budget max(min-distance, W_MAX)",
     )
     p_search.set_defaults(func=cmd_search)
 
@@ -395,7 +386,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_deform.add_argument("--seed", type=int, help="override the config seed")
     p_deform.add_argument(
         "--w-max", type=_positive_int, default=None,
-        help="distance budget for re-measuring accepted encodings",
+        help="measure each encoding once, at distance budget max(min-distance, W_MAX)",
     )
     p_deform.set_defaults(func=cmd_deform)
 

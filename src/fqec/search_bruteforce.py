@@ -33,13 +33,14 @@ walks the set bits of its domain and those masks in ascending order, which
 is the enumeration order.
 
 The whole tree is walked by one depth-first search in one thread.  Each
-completion is re-validated, measured, inserted into a Pareto front over
-(distance, max stabilizer weight, sigma_NN, sigma_NNN) and streamed as
-soon as it is found.  Every candidate of the first generator (every word
-that passes the checks above, whether or not it commutes with its own
-translates) starts its own RNG stream, derived from the seed and the
-candidate's index, so a stochastic run draws the same numbers below a given
-first generator whatever came before it.
+completion is validated, measured once, filtered, inserted into a Pareto
+front over (distance, max stabilizer weight, sigma_NN, sigma_NNN) and
+streamed as soon as it is found, by the pipeline the deform search shares.
+Every candidate of the first generator (every word that passes the checks
+above, whether or not it commutes with its own translates) starts its own
+RNG stream, derived from the seed and the candidate's index, so a
+stochastic run draws the same numbers below a given first generator
+whatever came before it.
 """
 
 from __future__ import annotations
@@ -50,7 +51,7 @@ import itertools
 import random
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Callable, Iterator
+from typing import TYPE_CHECKING, Callable, Iterator
 
 from . import fermion, lattice
 from .encoding import (
@@ -72,6 +73,13 @@ from .fermion import (
 )
 from .lattice import CENTER, UnitCellLayout
 from .symplectic import LETTER_BITS, PauliWord, weight
+
+if TYPE_CHECKING:
+    from .search_clifford import CliffordConfig
+
+#: Direction names of the diagonal hopping terms, as in ``hop:+ur:m0``.
+_NNN_NAMES = frozenset(fermion._DIRECTION_NAMES[d] for d in fermion.NNN_DIRECTIONS)
+
 
 class HoppingCapMode(enum.Enum):
     NN = "nn"
@@ -180,6 +188,19 @@ class ParetoFront:
 
 @dataclass
 class SearchReport:
+    """Work counters of one run of either search.
+
+    ``nodes`` counts words assigned in the brute-force tree, or gate
+    sequences in deform.  ``completions`` counts every full assignment, or
+    only the sequences whose map passes validation and the filters.
+    ``invalid`` and ``filtered`` count completions (sequences) whose map
+    fails validation (or has no representable hopping path) or the filters.
+    ``emitted`` counts encodings the front accepted and streamed; a deform
+    map is offered once, however many sequences reach it.  ``truncated``
+    marks a run cut by its budget; ``best_distance`` is the largest exact
+    distance emitted.
+    """
+
     nodes: int = 0
     completions: int = 0
     filtered: int = 0
@@ -512,28 +533,70 @@ class _SearchContext:
 
 
 def _passes_completion_filters(
-    cfg: SearchConfig, enc: EncodingCandidate, metrics: Metrics
+    cfg: SearchConfig | CliffordConfig, enc: EncodingCandidate, metrics: Metrics
 ) -> bool:
+    """Distance, weight-cap and logical-weight filters on the same-named
+    fields of either search's config; a cap of None (deform) is no cap."""
     if metrics.distance.value < cfg.min_distance_filter:
         return False
-    for gen, word in enc.generators.items():
-        if gen.kind is GeneratorKind.VERTEX and weight(word) > cfg.max_vertex_weight:
-            return False
-    weights = dict(metrics.term_weights)
+    vertex_cap, hop_cap = cfg.max_vertex_weight, cfg.max_edge_or_hopping_weight
+    if vertex_cap is not None:
+        for gen, word in enc.generators.items():
+            if gen.kind is GeneratorKind.VERTEX and weight(word) > vertex_cap:
+                return False
     capped_nnn = cfg.hopping_cap_mode is HoppingCapMode.NN_AND_NNN
     relevant: list[int] = []
-    for name, w in weights.items():
+    for name, w in metrics.term_weights:
         is_hop = name.startswith("hop:")
-        is_nnn = name.split(":")[1] in ("+ur", "-ur", "+ul", "-ul") if is_hop else False
-        if is_hop and is_nnn and not capped_nnn:
+        if is_hop and not capped_nnn and name.split(":")[1] in _NNN_NAMES:
             continue
         relevant.append(w)
-        if is_hop and w > cfg.max_edge_or_hopping_weight:
+        if is_hop and hop_cap is not None and w > hop_cap:
             return False
     if cfg.min_logical_weight_filter is not None:
         if any(w < cfg.min_logical_weight_filter for w in relevant):
             return False
     return True
+
+
+def _complete(
+    cfg: SearchConfig | CliffordConfig,
+    enc: EncodingCandidate,
+    w_max: int,
+    report: SearchReport,
+    front: ParetoFront,
+    emit: Callable[[EncodingCandidate], None],
+    passed: Callable[[EncodingCandidate], None] | None = None,
+) -> str:
+    """The completion pipeline of both searches: validate, derive the
+    stabilizers, measure once at ``w_max``, filter, offer to the front.
+
+    Counts a rejected map as ``invalid`` or ``filtered`` and returns that
+    label, else ``ok``.  A passing map goes to ``passed``; if the front
+    accepts it, it is counted as emitted and goes to ``emit`` with the
+    metrics the front ranked it on.
+    """
+    if validate(enc):
+        report.invalid += 1
+        return "invalid"
+    try:
+        enc = enc.with_stabilizers(derive_stabilizers(enc))
+        metrics = compute_metrics(enc, HamiltonianSpec(), w_max)
+    except PathError:
+        report.invalid += 1
+        return "invalid"
+    if not _passes_completion_filters(cfg, enc, metrics):
+        report.filtered += 1
+        return "filtered"
+    enc = enc.with_metrics(metrics)
+    if passed is not None:
+        passed(enc)
+    if front.update(metrics.key(), enc):
+        report.emitted += 1
+        if metrics.distance.exact:
+            report.best_distance = max(report.best_distance or 0, metrics.distance.value)
+        emit(enc)
+    return "ok"
 
 
 def brute_force_search(
@@ -548,9 +611,9 @@ def brute_force_search(
     """Run the full enumeration, streaming Pareto-accepted encodings to ``sink``.
 
     The search runs as one depth-first walk in the calling thread; equal
-    configs give equal reports and emitted sequences.  Search-time metrics
-    use a distance budget equal to the distance filter; accepted encodings
-    are re-measured at ``final_w_max`` (when larger) before being emitted.
+    configs give equal reports and emitted sequences.  Each completion is
+    measured once, at the distance budget ``max(cfg.min_distance_filter,
+    final_w_max)``, and the filters, front and stream all see those metrics.
     ``completion_sink`` sees every completion that passes the filters, in
     the order found.  ``threads`` remains as a keyword that takes only 1
     (``bench/worker.py`` passes it); any other value raises ValueError.
@@ -562,34 +625,7 @@ def brute_force_search(
     report = SearchReport()
     front = front if front is not None else ParetoFront()
     budget = cfg.node_budget
-
-    def complete() -> None:
-        report.completions += 1
-        enc = ctx._partial_encoding(None)
-        if validate(enc):
-            report.invalid += 1
-            return
-        try:
-            enc = enc.with_stabilizers(derive_stabilizers(enc))
-            metrics = compute_metrics(enc, HamiltonianSpec(), cfg.min_distance_filter)
-        except PathError:
-            report.invalid += 1
-            return
-        if not _passes_completion_filters(cfg, enc, metrics):
-            report.filtered += 1
-            return
-        enc = enc.with_metrics(metrics)
-        if completion_sink is not None:
-            completion_sink(enc)
-        if not front.update(metrics.key(), enc):
-            return
-        if final_w_max is not None and final_w_max > cfg.min_distance_filter:
-            metrics = compute_metrics(enc, HamiltonianSpec(), final_w_max)
-            enc = enc.with_metrics(metrics)
-        report.emitted += 1
-        if metrics.distance.exact:
-            report.best_distance = max(report.best_distance or 0, metrics.distance.value)
-        sink(enc)
+    w_max = max(cfg.min_distance_filter, final_w_max or 0)
 
     def dfs(gi: int, rng: random.Random | None) -> bool:
         """Walk level ``gi`` and below; False once the node budget cuts the run."""
@@ -611,7 +647,9 @@ def brute_force_search(
             report.nodes += 1
             ctx.assign(x, z)
             if gi + 1 == n_levels:
-                complete()
+                report.completions += 1
+                enc = ctx._partial_encoding(None)
+                _complete(cfg, enc, w_max, report, front, sink, completion_sink)
             elif not dfs(gi + 1, rng):
                 return False
             ctx.unassign()

@@ -14,8 +14,10 @@ images:
   flagged); with equal locals no translation-invariant Clifford exists at
   all, so deformed candidates are re-validated and rejected when broken.
 
-Deformed encodings go through the same Pareto front as the brute-force
-search; every emitted encoding re-validates by construction.
+Each distinct generator map goes through the brute-force search's
+completion pipeline once, before which sequences are deduplicated by the
+map they reach: validation, one metrics pass, the filters and the Pareto
+front.  Every emitted encoding therefore re-validates.
 """
 
 from __future__ import annotations
@@ -27,16 +29,10 @@ from functools import lru_cache
 from typing import Callable
 
 from . import fermion, lattice
-from .encoding import EncodingCandidate, compute_metrics, derive_stabilizers, validate
-from .fermion import HamiltonianSpec, PathError, far_cell_offset, generator_ids
+from .encoding import EncodingCandidate, validate
+from .fermion import far_cell_offset, generator_ids
 from .lattice import UnitCellLayout
-from .search_bruteforce import (
-    HoppingCapMode,
-    ParetoFront,
-    SearchReport,
-    _passes_completion_filters,
-    SearchConfig,
-)
+from .search_bruteforce import HoppingCapMode, ParetoFront, SearchReport, _complete
 from .symplectic import LETTER_BITS, PauliWord
 
 #: The six phase-blind single-qubit Clifford classes as images of (X, Y, Z).
@@ -287,59 +283,6 @@ def _all_sequences(n_gates: int, max_len: int):
         yield from itertools.permutations(range(n_gates), k)
 
 
-def _search_filter_config(cfg: CliffordConfig) -> SearchConfig | None:
-    """Completion-filter view of the Clifford config; None when uncapped."""
-    if cfg.max_vertex_weight is None and cfg.max_edge_or_hopping_weight is None:
-        if cfg.min_logical_weight_filter is None and cfg.min_distance_filter <= 1:
-            return None
-    n = cfg.base.layout.n_slots
-    return SearchConfig(
-        layout=cfg.base.layout,
-        max_vertex_weight=cfg.max_vertex_weight or n,
-        max_edge_or_hopping_weight=cfg.max_edge_or_hopping_weight or n,
-        hopping_cap_mode=cfg.hopping_cap_mode,
-        min_distance_filter=cfg.min_distance_filter,
-        min_logical_weight_filter=cfg.min_logical_weight_filter,
-    )
-
-
-@dataclass
-class _Deformation:
-    encoding: EncodingCandidate
-    sequence: tuple[int, ...]
-    clipped: bool
-    invalid: bool
-    filtered: bool
-
-
-def _evaluate_sequence(
-    cfg: CliffordConfig,
-    gates: list[CliffordGateOp],
-    seq: tuple[int, ...],
-    filter_cfg: SearchConfig | None,
-) -> _Deformation:
-    enc = cfg.base
-    clipped = False
-    for idx in seq:
-        enc, c = apply_clifford(enc, gates[idx])
-        clipped = clipped or c
-    if validate(enc):
-        return _Deformation(enc, seq, clipped, invalid=True, filtered=False)
-    try:
-        enc = enc.with_stabilizers(derive_stabilizers(enc))
-        metrics = compute_metrics(enc, HamiltonianSpec(), cfg.min_distance_filter)
-    except PathError:
-        return _Deformation(enc, seq, clipped, invalid=True, filtered=False)
-    enc = enc.with_metrics(metrics)
-    if filter_cfg is not None and not _passes_completion_filters(
-        filter_cfg, enc, metrics
-    ):
-        return _Deformation(enc, seq, clipped, invalid=False, filtered=True)
-    if metrics.distance.value < cfg.min_distance_filter:
-        return _Deformation(enc, seq, clipped, invalid=False, filtered=True)
-    return _Deformation(enc, seq, clipped, invalid=False, filtered=False)
-
-
 def clifford_deform_search(
     cfg: CliffordConfig,
     sink: Callable[[EncodingCandidate, dict], None],
@@ -351,61 +294,53 @@ def clifford_deform_search(
     """Enumerate gate sequences over the sampled set and Pareto-filter results.
 
     Sequences are ordered selections without repetition up to the configured
-    length, deduplicated by the resulting generator map.  ``sink`` receives
-    each accepted encoding plus a provenance dict naming the gate sequence.
-    Sequences are evaluated one after another in the calling thread.
-    ``threads`` remains as a keyword that takes only 1 (``bench/worker.py``
-    passes it); any other value raises ValueError.
+    length, walked in the calling thread.  The first sequence to reach a
+    generator map sends it through ``search_bruteforce._complete``, measured
+    with the budget ``max(cfg.min_distance_filter, final_w_max)``; later
+    sequences that reach the map add to the counter of its outcome.
+    ``sink`` receives each accepted encoding plus a provenance dict naming
+    the gate sequence.  ``threads`` remains as a keyword that takes only 1
+    (``bench/worker.py`` passes it); any other value raises ValueError.
     """
     if threads != 1:
         raise ValueError("the search runs in one thread; threads must be 1")
     if validate(cfg.base):
         raise ValueError("base encoding does not validate")
-    base = cfg.base
-    if base.stabilizer_generators is None:
-        base = base.with_stabilizers(derive_stabilizers(base))
-        cfg = replace(cfg, base=base)
     gates = sample_gate_set(cfg)
-    filter_cfg = _search_filter_config(cfg)
+    w_max = max(cfg.min_distance_filter, final_w_max or 0)
+    n = cfg.base.layout.n_slots
     report = SearchReport()
     front = front if front is not None else ParetoFront()
-    seen: set[tuple] = set()
-
-    def reduce(deformation: _Deformation) -> None:
-        report.nodes += 1
-        if deformation.invalid:
-            report.invalid += 1
-            return
-        if deformation.filtered:
-            report.filtered += 1
-            return
-        report.completions += 1
-        enc = deformation.encoding
-        key = enc.canonical_key()
-        if key in seen:
-            return
-        seen.add(key)
-        metrics = enc.metrics
-        assert metrics is not None
-        if not front.update(metrics.key(), enc):
-            return
-        if final_w_max is not None and final_w_max > cfg.min_distance_filter:
-            metrics = compute_metrics(enc, HamiltonianSpec(), final_w_max)
-            enc = enc.with_metrics(metrics)
-        report.emitted += 1
-        if metrics.distance.exact:
-            report.best_distance = max(report.best_distance or 0, metrics.distance.value)
-        provenance = {
-            "clifford_sequence": [gates[i].describe() for i in deformation.sequence],
-            "clipped": deformation.clipped,
-        }
-        sink(enc, provenance)
-
+    # Outcome label of every generator map reached so far: validation, the
+    # metrics and the filters depend on the map alone.
+    outcomes: dict[int, str] = {}
     raw = _all_sequences(len(gates), cfg.max_sequence_length)
     budget = cfg.sequence_budget
     sequences = raw if budget is None else itertools.islice(raw, budget)
     for seq in sequences:
-        reduce(_evaluate_sequence(cfg, gates, seq, filter_cfg))
+        report.nodes += 1
+        enc, clipped = cfg.base, False
+        for idx in seq:
+            enc, gate_clipped = apply_clifford(enc, gates[idx])
+            clipped = clipped or gate_clipped
+        key = 0  # each word's x and z masks in one int, smaller than canonical_key()
+        for word in enc.generators.values():
+            key = (key << 2 * n) | (word.x_mask << n) | word.z_mask
+        outcome = outcomes.get(key)
+        if outcome is None:
+            provenance = {
+                "clifford_sequence": [gates[i].describe() for i in seq],
+                "clipped": clipped,
+            }
+            outcome = outcomes[key] = _complete(
+                cfg, enc, w_max, report, front, lambda accepted: sink(accepted, provenance)
+            )
+        elif outcome == "invalid":
+            report.invalid += 1
+        elif outcome == "filtered":
+            report.filtered += 1
+        if outcome == "ok":
+            report.completions += 1
     if budget is not None and next(raw, None) is not None:
         report.truncated = True
     return report

@@ -106,6 +106,30 @@ class TestSearchCommand:
         assert main(["search", cfg, "--output", str(tmp_path / "o.jsonl"), "--w-max", "0"]) == 1
         assert not (tmp_path / "o.jsonl").exists()
 
+    def test_front_metrics_equal_stream_metrics(self, tmp_path, capsys):
+        # Searches measure each completion once, at max(min-distance, --w-max):
+        # the front is ranked on, and writes, the metrics the stream records.
+        # Measured at min-distance 1 alone, two of the seven front entries of
+        # this run read {"at_least": 2} where the stream has {"exact": 2}.
+        cfg = write(
+            tmp_path, "search.cfg",
+            SEARCH_CONFIG.replace("min-distance = 2", "min-distance = 1")
+            .replace("node-budget = 400", "node-budget = 300"),
+        )
+        out, front = str(tmp_path / "out.jsonl"), str(tmp_path / "front.jsonl")
+        assert main(["search", cfg, "--output", out, "--front-output", front,
+                     "--w-max", "3"]) == 2
+        stream = {}
+        for line in open(out).read().splitlines():
+            doc = json.loads(line)
+            stream[json.dumps(doc["generators"], sort_keys=True)] = doc["metrics"]
+        front_docs = [json.loads(line) for line in open(front).read().splitlines()]
+        assert len(front_docs) == 7
+        for doc in front_docs:
+            assert doc["metrics"] == stream[json.dumps(doc["generators"], sort_keys=True)]
+        distances = sorted(json.dumps(doc["metrics"]["distance"]) for doc in front_docs)
+        assert distances == ['{"exact": 1}'] * 5 + ['{"exact": 2}'] * 2
+
     def test_byte_identical_reruns(self, tmp_path, capsys):
         cfg = write(tmp_path, "search.cfg", SEARCH_CONFIG)
         outputs = []

@@ -1,9 +1,11 @@
 """Clifford deformations: gate semantics, invariance, deform search."""
 
+import itertools
 import random
 
 import pytest
 
+from fqec import encoding, search_bruteforce, search_clifford
 from fqec.encoding import EncodingCandidate, validate
 from fqec.lattice import ALL_SHIFTS, EdgeSet, Scheme, UnitCellLayout, translate_word_clipped
 from fqec.search_clifford import (
@@ -292,3 +294,47 @@ class TestDeformSearch:
         report = clifford_deform_search(cfg, lambda enc, prov: emitted.append(enc))
         keys = [enc.canonical_key() for enc in emitted]
         assert len(keys) == len(set(keys))
+
+    def test_one_pipeline_pass_per_distinct_map(self, d2_encoding, monkeypatch):
+        # Sequences are deduplicated by the generator map they reach before
+        # validation, so validate runs once per distinct map (plus the base
+        # check) and compute_metrics once per distinct valid map.  The
+        # counters still count every sequence: the pinned values were
+        # measured with every sequence validated and measured on its own.
+        cfg = CliffordConfig(
+            base=d2_encoding, n_single_qubit_samples=3, n_cnot_pairs=1,
+            max_sequence_length=3, rng_seed=5, min_distance_filter=1,
+        )
+        gates = sample_gate_set(cfg)
+        maps = {}
+        for k in range(cfg.max_sequence_length + 1):
+            for seq in itertools.permutations(gates, k):
+                enc = cfg.base
+                for gate in seq:
+                    enc, _ = apply_clifford(enc, gate)
+                maps.setdefault(enc.canonical_key(), enc)
+        n_valid = sum(1 for enc in maps.values() if not validate(enc))
+
+        calls = {"validate": 0, "compute_metrics": 0}
+
+        def counting(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        counted_validate = counting("validate", encoding.validate)
+        for module in (search_bruteforce, search_clifford):
+            monkeypatch.setattr(module, "validate", counted_validate)
+        monkeypatch.setattr(
+            search_bruteforce, "compute_metrics",
+            counting("compute_metrics", encoding.compute_metrics),
+        )
+        emitted = []
+        report = clifford_deform_search(
+            cfg, lambda enc, prov: emitted.append(enc), final_w_max=3
+        )
+        assert (report.nodes, report.completions, report.filtered, report.invalid,
+                report.emitted) == (821, 401, 0, 420, 26)
+        assert calls == {"validate": len(maps) + 1, "compute_metrics": n_valid}
+        assert len(emitted) == 26
