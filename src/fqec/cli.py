@@ -278,8 +278,7 @@ def cmd_distance(args: argparse.Namespace) -> int:
 
 def cmd_metrics(args: argparse.Namespace) -> int:
     enc = document_to_encoding(load_document(args.encoding))
-    spec = _hamiltonian_from_flag(args.hamiltonian)
-    metrics = compute_metrics(enc, spec, args.w_max)
+    metrics = compute_metrics(enc, HamiltonianSpec(), args.w_max)
     if args.format == "json":
         print(json.dumps({"metrics": metrics_to_json(metrics)}))
         return EXIT_OK
@@ -398,7 +397,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_metrics = sub.add_parser("metrics", help="quality metrics of an encoding document")
     p_metrics.add_argument("encoding")
-    p_metrics.add_argument("--hamiltonian", default="1,0,4", help="t,tprime,U couplings")
     p_metrics.add_argument("--w-max", type=_positive_int, default=3)
     p_metrics.add_argument("--format", choices=("text", "json"), default="text")
     p_metrics.set_defaults(func=cmd_metrics)

@@ -90,28 +90,14 @@ def _term_words(enc: "EncodingCandidate", spec: HamiltonianSpec) -> list[PauliWo
 
     for term in enumerate_hamiltonian_terms(spec, enc.layout):
         if term.kind == "hopping":
-            canonical = fermion._CANONICAL_DIRECTION[term.direction]
-            if term.direction != canonical:
+            if term.direction not in fermion._KIND_BY_DIRECTION:
                 continue  # the mirror is a translate of the canonical orbit
-            for word in fermion.hopping_pair(enc, term.mode, canonical):
+            for word in fermion.hopping_pair(enc, term.mode, term.direction):
                 push(word)
+        elif enc.layout.scheme is Scheme.MIXED:
+            push(fermion.onsite_pauli_term(enc))
         else:
-            if enc.layout.scheme is Scheme.MIXED:
-                push(fermion.onsite_pauli_term(enc))
-            else:
-                push(
-                    fermion._product_of_instances(
-                        enc,
-                        [
-                            (
-                                fermion.FermionGeneratorId(
-                                    fermion.GeneratorKind.VERTEX, term.mode
-                                ),
-                                CENTER,
-                            )
-                        ],
-                    )
-                )
+            push(fermion.vertex_image(enc, fermion.Vertex(CENTER, term.mode)))
     return words
 
 

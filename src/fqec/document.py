@@ -63,7 +63,7 @@ def _tokens_to_word(tokens: list[str], layout: UnitCellLayout) -> PauliWord:
     word = PauliWord.identity(layout.n_slots)
     seen: set[int] = set()
     for token in tokens:
-        match = _TOKEN_RE.match(token)
+        match = _TOKEN_RE.match(token) if isinstance(token, str) else None
         if not match:
             raise DocumentError(f"malformed generator token {token!r}")
         dx, dy, local, letter = (
@@ -102,10 +102,19 @@ def metrics_to_json(metrics: Metrics) -> dict:
 
 
 def metrics_from_json(block: dict) -> Metrics:
+    if not isinstance(block, dict):
+        raise DocumentError("metrics block must be an object")
     unknown = set(block) - _METRICS_KEYS
     if unknown:
         raise DocumentError(f"unknown metrics fields: {sorted(unknown)}")
+    missing = _METRICS_KEYS - {"term_weights"} - set(block)
+    if missing:
+        raise DocumentError(f"missing metrics fields: {sorted(missing)}")
     dist_block = block["distance"]
+    if not isinstance(dist_block, dict):
+        raise DocumentError(f"malformed distance block {dist_block!r}")
+    if not isinstance(block.get("term_weights", {}), dict):
+        raise DocumentError("metrics term_weights must be an object")
     if "exact" in dist_block:
         distance = DistanceResult.exact_distance(int(dist_block["exact"]))
     elif "at_least" in dist_block:
@@ -163,8 +172,11 @@ def document_to_encoding(
     layout_block = doc.get("layout")
     if not isinstance(layout_block, dict) or set(layout_block) != _LAYOUT_KEYS:
         raise DocumentError("layout block must have scheme, edge_set, qubits_per_cell")
+    qpc = layout_block["qubits_per_cell"]
+    if not isinstance(qpc, int) or isinstance(qpc, bool):
+        raise DocumentError(f"qubits_per_cell must be an integer, got {qpc!r}")
     layout = UnitCellLayout(
-        qubits_per_cell=int(layout_block["qubits_per_cell"]),
+        qubits_per_cell=qpc,
         scheme=scheme_from_name(layout_block["scheme"]),
         edge_set=edge_set_from_name(layout_block["edge_set"]),
     )
@@ -177,6 +189,8 @@ def document_to_encoding(
         gen = generator_id_from_name(name)
         if gen not in known:
             raise DocumentError(f"generator {name!r} is not part of this layout")
+        if not isinstance(tokens, list):
+            raise DocumentError(f"generator {name!r} must be a list of tokens")
         generators[gen] = _tokens_to_word(tokens, layout)
     enc = EncodingCandidate(layout, generators)
     violations = validate(enc)

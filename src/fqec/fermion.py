@@ -52,6 +52,10 @@ EDGE_DIRECTIONS = {
     GeneratorKind.EDGE_DIAG_UL: (-1, 1),
 }
 
+#: Edge kind of each canonical direction; the other hop directions are their
+#: negatives.
+_KIND_BY_DIRECTION = {d: kind for kind, d in EDGE_DIRECTIONS.items()}
+
 _KINDS_BY_EDGE_SET = {
     EdgeSet.NN_SQUARE: (GeneratorKind.EDGE_RIGHT, GeneratorKind.EDGE_UP),
     EdgeSet.TRIANGULAR: (
@@ -311,6 +315,12 @@ def _product_of_instances(
     raise PathError("product of edge instances does not fit the window at any anchor")
 
 
+def vertex_image(enc: "EncodingCandidate", vertex: Vertex) -> PauliWord:
+    """Pauli image of a mode instance's vertex generator, re-anchored to fit."""
+    gen = FermionGeneratorId(GeneratorKind.VERTEX, vertex.mode)
+    return _product_of_instances(enc, [(gen, vertex.cell)])
+
+
 def composite_edge(path: list[Vertex], enc: "EncodingCandidate") -> PauliWord:
     """Product of the edges along a path: an effective edge between its endpoints."""
     if len(path) < 2:
@@ -326,8 +336,7 @@ def loop_stabilizer(cycle: list[Vertex], enc: "EncodingCandidate") -> PauliWord:
     """
     if len(cycle) < 3 or cycle[0] != cycle[-1]:
         raise ValueError("cycle must be explicitly closed (first vertex == last)")
-    instances = [_edge_instance(enc.layout, v, w) for v, w in zip(cycle, cycle[1:])]
-    return _product_of_instances(enc, instances)
+    return composite_edge(cycle, enc)
 
 
 _FACE_WALKS = {
@@ -389,21 +398,6 @@ _DIRECTION_NAMES = {
     (1, 1): "+ur", (-1, -1): "-ur", (-1, 1): "+ul", (1, -1): "-ul",
 }
 
-#: Canonical representative of each +-direction pair (mirrors are translates).
-_CANONICAL_DIRECTION = {
-    (1, 0): (1, 0), (-1, 0): (1, 0),
-    (0, 1): (0, 1), (0, -1): (0, 1),
-    (1, 1): (1, 1), (-1, -1): (1, 1),
-    (-1, 1): (-1, 1), (1, -1): (-1, 1),
-}
-
-_KIND_BY_DIRECTION = {
-    (1, 0): GeneratorKind.EDGE_RIGHT,
-    (0, 1): GeneratorKind.EDGE_UP,
-    (1, 1): GeneratorKind.EDGE_DIAG_UR,
-    (-1, 1): GeneratorKind.EDGE_DIAG_UL,
-}
-
 
 @dataclass(frozen=True)
 class TermDescriptor:
@@ -454,43 +448,37 @@ def enumerate_hamiltonian_terms(
     return terms
 
 
-def _edge_image_for_direction(
-    enc: "EncodingCandidate", mode: int, direction: tuple[int, int]
-) -> tuple[PauliWord, Vertex, Vertex]:
-    """Edge image (direct or composite) for the hop from the central vertex."""
-    layout = enc.layout
+def hop_instances(
+    layout: UnitCellLayout, mode: int, direction: tuple[int, int]
+) -> tuple[list[tuple[FermionGeneratorId, tuple[int, int]]], Vertex, Vertex]:
+    """Edge instances of the hop from the central mode instance in a canonical
+    direction (a value of ``EDGE_DIRECTIONS``), and the hop's two endpoints.
+
+    A direction with no edge kind on the layout takes the L-path, horizontal
+    leg first (the two L-paths differ by a plaquette stabilizer).
+    """
     v0 = Vertex(CENTER, mode)
     w = step(layout, v0, direction)
     kind = _KIND_BY_DIRECTION.get(direction)
-    if kind is not None and kind in edge_kinds(layout):
-        gen = FermionGeneratorId(kind, mode)
-        image = _product_of_instances(enc, [(gen, v0.cell)])
-        return image, v0, w
-    # Diagonal hop on a layout without that edge kind: compose an L-path,
-    # horizontal leg first (the two L-paths differ by a plaquette stabilizer).
-    if direction not in _DIRECTION_NAMES:
-        raise PathError(f"no edge or composite path for direction {direction}")
+    if kind in edge_kinds(layout):
+        return [(FermionGeneratorId(kind, mode), v0.cell)], v0, w
     mid = step(layout, v0, (direction[0], 0))
-    instances = [
-        _edge_instance(layout, v0, mid),
-        _edge_instance(layout, mid, w),
-    ]
-    return _product_of_instances(enc, instances), v0, w
+    return [_edge_instance(layout, v0, mid), _edge_instance(layout, mid, w)], v0, w
 
 
 def hopping_pair(
     enc: "EncodingCandidate", mode: int, direction: tuple[int, int]
 ) -> tuple[PauliWord, PauliWord]:
-    """The two hopping Pauli words for a canonical site direction."""
-    canonical = _CANONICAL_DIRECTION[direction]
-    image, v0, w = _edge_image_for_direction(enc, mode, canonical)
-    vertex_j = _product_of_instances(
-        enc, [(FermionGeneratorId(GeneratorKind.VERTEX, v0.mode), v0.cell)]
-    )
-    vertex_k = _product_of_instances(
-        enc, [(FermionGeneratorId(GeneratorKind.VERTEX, w.mode), w.cell)]
-    )
-    return multiply(vertex_k, image), multiply(vertex_j, image)
+    """The two hopping Pauli words for a site direction.
+
+    A mirrored direction is the negated canonical one, whose words are
+    taken; the edge path and each endpoint vertex are anchored separately.
+    """
+    if direction not in _KIND_BY_DIRECTION:
+        direction = (-direction[0], -direction[1])
+    instances, j, k = hop_instances(enc.layout, mode, direction)
+    image = _product_of_instances(enc, instances)
+    return multiply(vertex_image(enc, k), image), multiply(vertex_image(enc, j), image)
 
 
 def hopping_weight(
@@ -517,12 +505,8 @@ def onsite_pauli_term(
     """
     layout = enc.layout
     if layout.scheme is Scheme.MIXED:
-        v_up = _product_of_instances(
-            enc, [(FermionGeneratorId(GeneratorKind.VERTEX, 0), cell)]
-        )
-        v_down = _product_of_instances(
-            enc, [(FermionGeneratorId(GeneratorKind.VERTEX, 1), cell)]
-        )
+        v_up = vertex_image(enc, Vertex(cell, 0))
+        v_down = vertex_image(enc, Vertex(cell, 1))
         return multiply(v_up, v_down)
     n = layout.n_slots
     if 2 * n > 64:
@@ -530,9 +514,7 @@ def onsite_pauli_term(
             "on-site word for duplicated-grid schemes needs a doubled register; "
             f"2 * {n} slots exceed the packing"
         )
-    v = _product_of_instances(
-        enc, [(FermionGeneratorId(GeneratorKind.VERTEX, mode), cell)]
-    )
+    v = vertex_image(enc, Vertex(cell, mode))
     return PauliWord(v.x_mask | v.x_mask << n, v.z_mask | v.z_mask << n, 2 * n)
 
 
@@ -541,7 +523,4 @@ def onsite_weight(enc: "EncodingCandidate", mode: int = 0) -> int:
     layout = enc.layout
     if layout.scheme is Scheme.MIXED:
         return weight(onsite_pauli_term(enc))
-    v = _product_of_instances(
-        enc, [(FermionGeneratorId(GeneratorKind.VERTEX, mode), CENTER)]
-    )
-    return 2 * weight(v)
+    return 2 * weight(vertex_image(enc, Vertex(CENTER, mode)))

@@ -17,7 +17,10 @@ is tried for the next generator when it passes:
   generator.
 
 Survivors then face, in order, windowed commutation against their own
-translates, the hopping caps and the stochastic gate.
+translates, the hopping caps and the stochastic gate.  The capped hops (NN,
+plus NNN under ``nn+nnn``) are planned once per run: each is checked at
+the level that assigns the last of its edges and endpoint vertices, so a
+level that completes no hop skips the check.
 
 The words that pass the static checks form the level's universe, built
 once per run and indexed in enumeration order: by weight, then
@@ -76,10 +79,6 @@ from .symplectic import LETTER_BITS, PauliWord, weight
 
 if TYPE_CHECKING:
     from .search_clifford import CliffordConfig
-
-#: Direction names of the diagonal hopping terms, as in ``hop:+ur:m0``.
-_NNN_NAMES = frozenset(fermion._DIRECTION_NAMES[d] for d in fermion.NNN_DIRECTIONS)
-
 
 class HoppingCapMode(enum.Enum):
     NN = "nn"
@@ -389,6 +388,20 @@ class _SearchContext:
             for i in range(n_gen)
         ]
 
+        # Canonical directions only: a mirrored hop shares their weights.
+        level_of = {gen: gi for gi, gen in enumerate(self.gen_order)}
+        cap_nnn = cfg.hopping_cap_mode is HoppingCapMode.NN_AND_NNN
+        self.hop_checks: list[list[tuple[int, tuple[int, int]]]] = [[] for _ in range(n_gen)]
+        for mode in range(layout.modes_per_cell):
+            for d in fermion.EDGE_DIRECTIONS.values():
+                if d in fermion.NNN_DIRECTIONS and not cap_nnn:
+                    continue
+                instances, j, k = fermion.hop_instances(layout, mode, d)
+                needed = [gen for gen, _ in instances] + [
+                    FermionGeneratorId(GeneratorKind.VERTEX, v.mode) for v in (j, k)
+                ]
+                self.hop_checks[max(level_of[gen] for gen in needed)].append((mode, d))
+
         # Mutable search state: the assigned prefix, each level's domain and
         # the letters introduced per local, with one undo entry per level.
         self.assigned: list[tuple[int, int]] = []
@@ -471,37 +484,17 @@ class _SearchContext:
             gens[self.gen_order[gi]] = PauliWord(x, z, self.n)
         return EncodingCandidate(self.layout, gens)
 
-    def _capped_hop_directions(self) -> list[tuple[int, tuple[int, int]]]:
-        out = []
-        cap_nnn = self.cfg.hopping_cap_mode is HoppingCapMode.NN_AND_NNN
-        for mode in range(self.layout.modes_per_cell):
-            for d in fermion.NN_DIRECTIONS:
-                out.append((mode, d))
-            if cap_nnn:
-                for d in fermion.NNN_DIRECTIONS:
-                    out.append((mode, d))
-        return out
-
     def hop_caps_ok(self, gi: int, x: int, z: int) -> bool:
-        """Cap every hopping whose edge and endpoint vertices are all assigned."""
-        gen = self.gen_order[gi]
+        """Cap the hops in ``hop_checks[gi]``: those whose last edge or
+        endpoint vertex is level ``gi``'s generator.  A level with no such
+        hop passes without building a partial encoding."""
+        checks = self.hop_checks[gi]
+        if not checks:
+            return True
         enc = self._partial_encoding((gi, (x, z)))
         cap = self.cfg.max_edge_or_hopping_weight
         min_w = self.cfg.min_logical_weight_filter
-        checks: list[tuple[int, tuple[int, int]]] = []
-        if gen.kind is not GeneratorKind.VERTEX:
-            if gen.kind in fermion.EDGE_DIRECTIONS:
-                direction = fermion.EDGE_DIRECTIONS[gen.kind]
-                if self._hop_computable(enc, gen.mode, direction):
-                    checks.append((gen.mode, direction))
-        else:
-            for mode, d in self._capped_hop_directions():
-                if self._hop_computable(enc, mode, d):
-                    checks.append((mode, d))
-        is_diag_capped = self.cfg.hopping_cap_mode is HoppingCapMode.NN_AND_NNN
         for mode, d in checks:
-            if d in fermion.NNN_DIRECTIONS and not is_diag_capped:
-                continue
             try:
                 w = fermion.hopping_weight(enc, mode, d)
             except PathError:
@@ -511,25 +504,6 @@ class _SearchContext:
             if min_w is not None and w < min_w:
                 return False
         return True
-
-    def _hop_computable(self, enc: EncodingCandidate, mode: int, d: tuple[int, int]) -> bool:
-        layout = self.layout
-        canonical = fermion._CANONICAL_DIRECTION[d]
-        kind = fermion._KIND_BY_DIRECTION.get(canonical)
-        v0 = fermion.Vertex(CENTER, mode)
-        w = fermion.step(layout, v0, canonical)
-        needed = [FermionGeneratorId(GeneratorKind.VERTEX, v0.mode),
-                  FermionGeneratorId(GeneratorKind.VERTEX, w.mode)]
-        if kind is not None and kind in fermion.edge_kinds(layout):
-            needed.append(FermionGeneratorId(kind, mode))
-        else:
-            mid = fermion.step(layout, v0, (canonical[0], 0))
-            try:
-                needed.append(fermion._edge_instance(layout, v0, mid)[0])
-                needed.append(fermion._edge_instance(layout, mid, w)[0])
-            except PathError:
-                return False
-        return all(g in enc.generators for g in needed)
 
 
 def _passes_completion_filters(
@@ -545,11 +519,13 @@ def _passes_completion_filters(
             if gen.kind is GeneratorKind.VERTEX and weight(word) > vertex_cap:
                 return False
     capped_nnn = cfg.hopping_cap_mode is HoppingCapMode.NN_AND_NNN
+    terms = fermion.enumerate_hamiltonian_terms(HamiltonianSpec(t_prime=1.0), enc.layout)
+    uncapped = {term.name for term in terms if term.nnn and not capped_nnn}
     relevant: list[int] = []
     for name, w in metrics.term_weights:
-        is_hop = name.startswith("hop:")
-        if is_hop and not capped_nnn and name.split(":")[1] in _NNN_NAMES:
+        if name in uncapped:
             continue
+        is_hop = name.startswith("hop:")
         relevant.append(w)
         if is_hop and hop_cap is not None and w > hop_cap:
             return False

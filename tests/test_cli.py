@@ -286,11 +286,44 @@ class TestMetricsCommand:
         assert payload["distance"] == {"exact": 2}
         assert payload["qubit_ratio"] == "2"
 
-    def test_bad_hamiltonian_flag(self, capsys):
-        assert main(["metrics", D2_DOC, "--hamiltonian", "1,2"]) == 1
+    def test_hamiltonian_flag_rejected(self, capsys):
+        # No metric depends on the couplings, so metrics takes no --hamiltonian.
+        assert main(["metrics", D2_DOC, "--hamiltonian", "1,0,4"]) == 1
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+
+class TestMalformedDocuments:
+    """A wrong-typed block is an input error: exit 1 and one error line."""
+
+    @staticmethod
+    def _d2_with(tmp_path, edit):
+        doc = json.loads(open(D2_DOC).read())
+        edit(doc)
+        return write(tmp_path, "bad.json", json.dumps(doc))
+
+    @pytest.mark.parametrize(
+        "command, edit",
+        [
+            ("distance", lambda doc: doc["generators"].update({"vertex:0": 5})),
+            ("distance", lambda doc: doc["layout"].update({"qubits_per_cell": [2]})),
+            ("metrics", lambda doc: doc["metrics"].pop("distance")),
+            ("metrics", lambda doc: doc["metrics"].update({"term_weights": [4]})),
+        ],
+        ids=[
+            "generator-not-a-list", "qubits-per-cell-not-an-int", "metrics-without-distance",
+            "term-weights-not-an-object",
+        ],
+    )
+    def test_exits_one_with_one_error_line(self, tmp_path, capsys, command, edit):
+        assert main([command, self._d2_with(tmp_path, edit)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
 
 
 class TestGraphCommand:
+    def test_bad_hamiltonian_flag(self, capsys):
+        assert main(["graph", D2_DOC, "--hamiltonian", "1,2"]) == 1
+
     def test_dot_has_one_ancilla_per_cell(self, capsys):
         assert main(["graph", D2_DOC]) == 0
         dot = capsys.readouterr().out

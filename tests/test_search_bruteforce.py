@@ -9,6 +9,7 @@ from fqec.encoding import EncodingCandidate, validate
 from fqec.fermion import generator_ids
 from fqec.lattice import EdgeSet, Scheme, UnitCellLayout, cell_index
 from fqec.search_bruteforce import (
+    HoppingCapMode,
     ParetoFront,
     SearchConfig,
     _SearchContext,
@@ -307,6 +308,50 @@ class TestSearchDeterminism:
         _, report = run_search(cfg)
         assert (report.nodes, report.completions, report.emitted) == (60, 35, 9)
         assert report.truncated
+
+    @pytest.mark.parametrize(
+        "edge_set, counts",
+        [(EdgeSet.NN_SQUARE, (331, 13, 0, 0, 9)), (EdgeSet.TRIANGULAR, (408, 17, 0, 0, 13))],
+        ids=["nn-square", "triangular"],
+    )
+    def test_golden_counters_nnn_caps_prune_in_the_tree(self, edge_set, counts):
+        # Every capped hop, L-path diagonals included, is checked at the level
+        # that completes it, so no completion fails the caps at the end.
+        cfg = SearchConfig(
+            layout=UnitCellLayout(2, Scheme.TWO_GRIDS, edge_set), max_vertex_weight=2,
+            max_edge_or_hopping_weight=4, hopping_cap_mode=HoppingCapMode.NN_AND_NNN,
+            min_distance_filter=1, rng_seed=3,
+        )
+        found, report = run_search(cfg, final_w_max=2)
+        assert (
+            report.nodes, report.completions, report.filtered, report.invalid, report.emitted
+        ) == counts
+        for enc in found:
+            nnn = [
+                w for name, w in enc.metrics.term_weights
+                if name.split(":")[1] in ("+ur", "-ur", "+ul", "-ul")
+            ]
+            assert len(nnn) == 4 and max(nnn) <= 4
+
+    @pytest.mark.parametrize(
+        "scheme, nodes",
+        [
+            (Scheme.MIXED, {"nn": 55, "nn+nnn": 55}),
+            (Scheme.DOUBLED_H, {"nn": 1287, "nn+nnn": 1280}),
+            (Scheme.DOUBLED_OFFSET, {"nn": 1456, "nn+nnn": 1440}),
+        ],
+        ids=["mixed", "doubled-h", "doubled-offset"],
+    )
+    def test_golden_nodes_two_mode_schemes(self, scheme, nodes):
+        # Hops whose endpoints lie on different in-cell modes.
+        for mode in HoppingCapMode:
+            cfg = SearchConfig(
+                layout=UnitCellLayout(2, scheme, EdgeSet.NN_SQUARE), max_vertex_weight=2,
+                max_edge_or_hopping_weight=3, hopping_cap_mode=mode, min_distance_filter=1,
+                rng_seed=3,
+            )
+            _, report = run_search(cfg)
+            assert report.nodes == nodes[mode.value]
 
     def test_threads_other_than_one_rejected(self):
         cfg = SearchConfig(layout=QPC1, max_vertex_weight=1, max_edge_or_hopping_weight=2)
