@@ -13,6 +13,7 @@ import csv
 import hashlib
 import io
 import json
+import math
 import os
 import sys
 
@@ -222,6 +223,8 @@ def _hamiltonian_from_flag(text: str) -> HamiltonianSpec:
         t, t_prime, u = (float(p) for p in parts)
     except ValueError:
         raise ConfigError(f"--hamiltonian values must be numbers, got {text!r}") from None
+    if not all(math.isfinite(x) for x in (t, t_prime, u)):
+        raise ConfigError(f"--hamiltonian values must be finite, got {text!r}")
     return HamiltonianSpec(t=t, t_prime=t_prime, U=u)
 
 

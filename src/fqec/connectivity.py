@@ -10,7 +10,23 @@ exponential; a clique would wildly overstate hardware needs.
 
 Graph thickness is NP-hard, so it is reported as a greedy upper bound: the
 number of planar layers extracted by inserting edges, in a deterministic
-order, into the current layer whenever planarity survives.
+order, into the current layer whenever planarity survives.  Three exact
+rules decide most edges without testing the whole layer, so the layers are
+those of one ``nx.check_planarity`` call per edge:
+
+* A bridge, an edge between two components of the layer, is accepted
+  untested: the blocks of the layer are unchanged and the bridge is a
+  block of its own, and a graph is planar iff its blocks are.
+* Any other edge is tested on the core of the layer plus the edge: delete
+  vertices of degree at most 1 and smooth vertices of degree 2 (a parallel
+  edge that results collapses) until none is left.  Some subdivision of
+  the core is a subgraph of the graph, so a non-planar core means a
+  non-planar graph; and an embedding of the core extends back, by putting
+  each smoothed vertex on its edge (or on a copy drawn beside it) and each
+  deleted vertex next to its neighbour.  So the core is planar iff the
+  graph is.
+* A core of at most 8 edges is accepted untested: K3,3, the smallest
+  non-planar graph, has 9.
 """
 
 from __future__ import annotations
@@ -50,9 +66,6 @@ class ConnectivityGraph:
     @property
     def nodes(self) -> list[Node]:
         return self.data_nodes + self.ancilla_nodes
-
-    def degree(self, node: Node) -> int:
-        return sum(1 for (u, v) in self.edges if u == node or v == node)
 
 
 def node_name(node: Node) -> str:
@@ -146,29 +159,86 @@ def euler_thickness_bound(g: ConnectivityGraph) -> int:
     return math.ceil(n_edges / (3 * n_vertices - 6))
 
 
+def _core(adj: dict[Node, set[Node]]) -> dict[Node, set[Node]]:
+    """Reduce ``adj`` in place to its core and return it.
+
+    Vertices of degree at most 1 are deleted, and each degree-2 vertex is
+    replaced by an edge between its two neighbours (a parallel edge
+    collapses), until every remaining vertex has degree 3 or more.
+    """
+    stack = [v for v, nbrs in adj.items() if len(nbrs) <= 2]
+    while stack:
+        w = stack.pop()
+        nbrs = adj.get(w)
+        if nbrs is None or len(nbrs) > 2:
+            continue
+        del adj[w]
+        for n in nbrs:
+            adj[n].discard(w)
+            stack.append(n)
+        if len(nbrs) == 2:
+            a, b = nbrs
+            adj[a].add(b)
+            adj[b].add(a)
+    return adj
+
+
+# K3,3, the smallest non-planar graph, has 9 edges.
+_SMALL_CORE_EDGES = 8
+
+
+def _core_is_planar(adj: dict[Node, set[Node]]) -> bool:
+    core = _core({v: set(nbrs) for v, nbrs in adj.items()})
+    edges = [(u, v) for u, nbrs in core.items() for v in nbrs if u < v]
+    if len(edges) <= _SMALL_CORE_EDGES:
+        return True
+    ok, _ = nx.check_planarity(nx.Graph(edges))
+    return ok
+
+
+def _find(parent: dict[Node, Node], x: Node) -> Node:
+    """Root of ``x`` in a union-find forest where roots have no entry."""
+    root = x
+    while root in parent:
+        root = parent[root]
+    while x != root:
+        nxt = parent[x]
+        parent[x] = root
+        x = nxt
+    return root
+
+
 def thickness_upper_bound(g: ConnectivityGraph) -> int:
     """Greedy planar decomposition; 1 iff the graph is planar.
 
     Edges are taken in sorted order; each layer keeps every edge whose
     insertion leaves the layer planar, and remaining edges seed the next
     layer.  The layer count upper-bounds the true thickness.
+
+    Each accept/defer decision is that of testing the whole layer plus the
+    edge, but the tests whose answer is known are skipped (see the module
+    docstring for why each rule is exact): an edge between two components
+    of the layer, kept in a union-find, is accepted untested; any other
+    edge is tested on the core of the layer plus the edge (``_core``); and
+    a core of at most 8 edges is accepted untested.
     """
     remaining = sorted(g.edges)
     if not remaining:
         return 1  # edgeless graphs are planar
     layers = 0
     while remaining:
-        layer = nx.Graph()
+        adj: dict[Node, set[Node]] = {}
+        parent: dict[Node, Node] = {}
         deferred = []
         for u, v in remaining:
-            layer.add_edge(u, v)
-            ok, _ = nx.check_planarity(layer)
-            if not ok:
-                layer.remove_edge(u, v)
-                if layer.degree(u) == 0:
-                    layer.remove_node(u)
-                if layer.degree(v) == 0:
-                    layer.remove_node(v)
+            ru, rv = _find(parent, u), _find(parent, v)
+            adj.setdefault(u, set()).add(v)
+            adj.setdefault(v, set()).add(u)
+            if ru != rv:
+                parent[ru] = rv
+            elif not _core_is_planar(adj):
+                adj[u].discard(v)
+                adj[v].discard(u)
                 deferred.append((u, v))
         remaining = deferred
         layers += 1

@@ -6,11 +6,16 @@ filters every slot combination by its cell bounding box, where
 ``fqec.distance.canonical_supports`` walks prefixes.  ``search_candidates``
 lists the words the brute-force search may try for one generator, straight
 from the rules in the ``fqec.search_bruteforce`` docstring.
+``greedy_thickness`` tests the whole layer for every edge, where
+``fqec.connectivity.thickness_upper_bound`` skips the tests whose answer is
+known.
 """
 
 from __future__ import annotations
 
 import itertools
+
+import networkx as nx
 
 from fqec import lattice
 from fqec.distance import DistanceResult
@@ -204,3 +209,36 @@ def search_candidates(
                 if all(commute_parity(word, t) == parity for parity, t in overlapping):
                     out.append(word)
     return out
+
+
+# ---------------------------------------------------------------------------
+# Plain greedy thickness (one planarity test of the whole layer per edge)
+
+
+def greedy_thickness(g) -> int:
+    """Layer count of ``fqec.connectivity.thickness_upper_bound``'s greedy.
+
+    Every edge, in sorted order, is added to an ``nx.Graph`` layer and kept
+    iff ``nx.check_planarity`` accepts the whole layer; the deferred edges
+    seed the next layer.
+    """
+    remaining = sorted(g.edges)
+    if not remaining:
+        return 1  # edgeless graphs are planar
+    layers = 0
+    while remaining:
+        layer = nx.Graph()
+        deferred = []
+        for u, v in remaining:
+            layer.add_edge(u, v)
+            ok, _ = nx.check_planarity(layer)
+            if not ok:
+                layer.remove_edge(u, v)
+                if layer.degree(u) == 0:
+                    layer.remove_node(u)
+                if layer.degree(v) == 0:
+                    layer.remove_node(v)
+                deferred.append((u, v))
+        remaining = deferred
+        layers += 1
+    return layers

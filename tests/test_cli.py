@@ -324,6 +324,14 @@ class TestGraphCommand:
     def test_bad_hamiltonian_flag(self, capsys):
         assert main(["graph", D2_DOC, "--hamiltonian", "1,2"]) == 1
 
+    @pytest.mark.parametrize("value", ["1,nan,4", "inf,0,4", "1,0,-inf"])
+    def test_non_finite_hamiltonian_flag(self, capsys, value):
+        assert main(["graph", D1_DOC, "--hamiltonian", value]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = captured.err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and "finite" in err[0]
+
     def test_dot_has_one_ancilla_per_cell(self, capsys):
         assert main(["graph", D2_DOC]) == 0
         dot = capsys.readouterr().out
@@ -339,6 +347,14 @@ class TestGraphCommand:
 
 
 class TestExportCommand:
+    @pytest.mark.parametrize("value", ["1,nan,4", "1,inf,4"])
+    def test_non_finite_hamiltonian_flag(self, tmp_path, capsys, value):
+        out = tmp_path / "front.csv"
+        assert main(["export", D2_DOC, "--output", str(out), "--hamiltonian", value]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and "finite" in err[0]
+        assert not out.exists()
+
     def test_three_rows_and_header(self, tmp_path, capsys):
         front = tmp_path / "front.jsonl"
         doc = open(D2_DOC).read().strip()

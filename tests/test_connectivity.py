@@ -2,8 +2,10 @@
 
 import itertools
 import random
+from collections import Counter
 
 import networkx as nx
+import pytest
 
 from fqec.connectivity import (
     ConnectivityGraph,
@@ -16,6 +18,9 @@ from fqec.connectivity import (
     to_dot,
 )
 from fqec.fermion import HamiltonianSpec
+
+from conftest import load_fixture
+from oracles import greedy_thickness
 
 
 def graph_from_edges(edges):
@@ -39,8 +44,8 @@ class TestBuildGraph:
         graph = build_graph(vc_encoding, HamiltonianSpec())
         assert len(graph.ancilla_nodes) == 9  # one stabilizer orbit, nine cells
         stab_weight = 8
-        for ancilla in graph.ancilla_nodes:
-            assert graph.degree(ancilla) == stab_weight
+        degree = Counter(n for edge in graph.edges for n in edge if n[0] == "s")
+        assert degree == {ancilla: stab_weight for ancilla in graph.ancilla_nodes}
 
     def test_no_stabilizers_no_ancillas(self, jw_encoding):
         graph = build_graph(jw_encoding, HamiltonianSpec())
@@ -145,6 +150,67 @@ class TestThickness:
             edges = rng.sample(all_edges, rng.randint(n - 1, len(all_edges)))
             g = graph_from_edges(edges)
             assert thickness_upper_bound(g) >= euler_thickness_bound(g)
+
+
+def fixture_graph(name, t_prime):
+    return build_graph(load_fixture(f"{name}.json"), HamiltonianSpec(t_prime=t_prime))
+
+
+def random_graph(rng):
+    n = rng.randint(3, 30)
+    density = rng.uniform(0.05, 0.6)
+    edges = [e for e in complete_graph_edges(n) if rng.random() < density]
+    return graph_from_edges(edges)
+
+
+class TestThicknessMatchesPlainGreedy:
+    """The skipped planarity tests never change an accept/defer decision."""
+
+    def test_random_graphs(self):
+        rng = random.Random(2024)
+        for _ in range(300):
+            g = random_graph(rng)
+            assert thickness_upper_bound(g) == greedy_thickness(g)
+
+    @pytest.mark.parametrize(
+        "name, expected",
+        [("d1_nn_square", (3, 4)), ("d2_nn_square", (3, 4)),
+         ("nnn_rank4", (6, 6)), ("triangular_rank2", (6, 6))],
+    )
+    def test_fixtures(self, name, expected):
+        for t_prime, layers in zip((0.0, 1.0), expected):
+            g = fixture_graph(name, t_prime)
+            assert thickness_upper_bound(g) == greedy_thickness(g) == layers
+
+
+class TestPlanarityCalls:
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        count = [0]
+        check_planarity = nx.check_planarity
+
+        def counting(*args, **kwargs):
+            count[0] += 1
+            return check_planarity(*args, **kwargs)
+
+        monkeypatch.setattr(nx, "check_planarity", counting)
+        return count
+
+    def test_tree_needs_no_test(self, calls):
+        rng = random.Random(5)
+        edges = [(("q", rng.randrange(child)), ("q", child)) for child in range(1, 30)]
+        assert thickness_upper_bound(graph_from_edges(edges)) == 1
+        assert calls[0] == 0
+
+    @pytest.mark.parametrize(
+        # The plain greedy makes 137, 191, 1016 and 577 calls.
+        "name, expected",
+        [("d1_nn_square", 71), ("d2_nn_square", 116), ("nnn_rank4", 743),
+         ("triangular_rank2", 407)],
+    )
+    def test_fixture_counts(self, calls, name, expected):
+        thickness_upper_bound(fixture_graph(name, 0.0))
+        assert calls[0] == expected
 
 
 class TestExports:
