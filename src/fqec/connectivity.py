@@ -192,7 +192,12 @@ def _core_is_planar(adj: dict[Node, set[Node]]) -> bool:
     edges = [(u, v) for u, nbrs in core.items() for v in nbrs if u < v]
     if len(edges) <= _SMALL_CORE_EDGES:
         return True
-    ok, _ = nx.check_planarity(nx.Graph(edges))
+    graph = nx.Graph(edges)
+    ok, _ = nx.check_planarity(graph)
+    # check_planarity caches an edge view on the graph, a reference cycle that
+    # only the cyclic collector would free; emptying the graph frees its
+    # adjacency at once.
+    graph.clear()
     return ok
 
 

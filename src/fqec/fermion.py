@@ -240,17 +240,21 @@ def edge_vertex_required_parity(
 @lru_cache(maxsize=None)
 def required_parity_table(
     layout: UnitCellLayout,
-) -> dict[tuple[FermionGeneratorId, FermionGeneratorId, tuple[int, int]], int]:
-    """Required parities for every ordered generator pair and window shift."""
+) -> tuple[tuple[tuple[int, ...], ...], ...]:
+    """Required parities by index: ``table[i][j][s]`` is the parity of
+    generator ``i`` against generator ``j`` shifted by ``ALL_SHIFTS[s]``,
+    with generators in ``generator_ids`` order."""
     ids = generator_ids(layout)
-    table = {}
-    for a in ids:
-        for b in ids:
-            for shift in lattice.ALL_SHIFTS:
-                table[(a, b, shift)] = edge_vertex_required_parity(
-                    layout, a, (0, 0), b, shift
-                )
-    return table
+    return tuple(
+        tuple(
+            tuple(
+                edge_vertex_required_parity(layout, a, (0, 0), b, shift)
+                for shift in lattice.ALL_SHIFTS
+            )
+            for b in ids
+        )
+        for a in ids
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ numbered in a snake pattern: row 0 runs left to right, odd rows are
 reversed, and slots within a cell are consecutive.  Translating a word by a
 cell shift remaps every supported slot; a shift that would push support off
 the window yields ``None`` (the shift is representable, the word is not).
+Commutation checks use clipped translates instead, which drop those slots.
 
 The window is the finite-shift equivalent of a translationally invariant
 description: two replicated operators can only interact at relative cell
@@ -130,7 +131,8 @@ def cell_of(slot: int, layout: UnitCellLayout) -> tuple[tuple[int, int], int]:
 def _shift_tables(
     qubits_per_cell: int,
 ) -> dict[tuple[int, int], tuple[int, ...]]:
-    """Per-shift slot remapping tables; -1 marks slots leaving the window."""
+    """Per-shift slot remapping tables, in ``ALL_SHIFTS`` order; -1 marks slots
+    leaving the window."""
     n = qubits_per_cell * WINDOW * WINDOW
     tables: dict[tuple[int, int], tuple[int, ...]] = {}
     cells = _cells_by_index()
@@ -186,19 +188,15 @@ def translate_word(
     return PauliWord(masks[0], masks[1], a.n_slots)
 
 
-def translate_word_clipped(
-    a: PauliWord, shift: tuple[int, int], layout: UnitCellLayout
-) -> PauliWord:
-    """Shift a word by whole cells, silently dropping slots that leave the window.
+def clipped_translates(x: int, z: int, qubits_per_cell: int) -> list[tuple[int, int]]:
+    """Masks of a word translated by every shift in ``ALL_SHIFTS`` order, with
+    slots that leave the window dropped.
 
     The clipped translate is exactly what windowed commutation checks need:
     dropped slots cannot overlap any in-window operator, so parities against
     window-supported words match the infinite-lattice values.
     """
-    if shift == (0, 0):
-        return a
-    table = _shift_tables(layout.qubits_per_cell).get(shift)
-    if table is None:
-        raise ValueError(f"shift {shift} outside +-{SHIFT_RANGE} per axis")
-    nx, nz = _translate_masks(a.x_mask, a.z_mask, table, clip=True)
-    return PauliWord(nx, nz, a.n_slots)
+    return [
+        _translate_masks(x, z, table, True)
+        for table in _shift_tables(qubits_per_cell).values()
+    ]

@@ -361,9 +361,6 @@ class _SearchContext:
         self.n = layout.n_slots
         self.qpc = layout.qubits_per_cell
         self.gen_order = generator_ids(layout)
-        self.shifts = lattice.ALL_SHIFTS
-        tables = lattice._shift_tables(self.qpc)
-        self.shift_tables = [tables[shift] for shift in self.shifts]
 
         center_mask = _cell_mask(layout, CENTER)
         self.universes: list[_Universe] = []
@@ -378,20 +375,12 @@ class _SearchContext:
                 cap = cfg.max_edge_or_hopping_weight
             self.universes.append(_Universe(layout, masks, cap))
 
-        req = required_parity_table(layout)
-        n_gen = len(self.gen_order)
-        self.required: list[list[tuple[int, ...]]] = [
-            [
-                tuple(req[(self.gen_order[i], self.gen_order[j], s)] for s in self.shifts)
-                for j in range(n_gen)
-            ]
-            for i in range(n_gen)
-        ]
+        self.required = required_parity_table(layout)
 
         # Canonical directions only: a mirrored hop shares their weights.
         level_of = {gen: gi for gi, gen in enumerate(self.gen_order)}
         cap_nnn = cfg.hopping_cap_mode is HoppingCapMode.NN_AND_NNN
-        self.hop_checks: list[list[tuple[int, tuple[int, int]]]] = [[] for _ in range(n_gen)]
+        self.hop_checks: list[list[tuple[int, tuple[int, int]]]] = [[] for _ in self.gen_order]
         for mode in range(layout.modes_per_cell):
             for d in fermion.EDGE_DIRECTIONS.values():
                 if d in fermion.NNN_DIRECTIONS and not cap_nnn:
@@ -410,10 +399,6 @@ class _SearchContext:
         self._undo: list[tuple[list[int], list[int]]] = []
 
     # -- candidate enumeration -------------------------------------------
-
-    def translates(self, x: int, z: int) -> list[tuple[int, int]]:
-        """Clipped window translates of a word, in ``self.shifts`` order."""
-        return [lattice._translate_masks(x, z, table, True) for table in self.shift_tables]
 
     def survivors(self, gi: int) -> Iterator[tuple[int, int]]:
         """Words of level ``gi`` that pass activation order, letter
@@ -438,7 +423,7 @@ class _SearchContext:
     def self_commutation_ok(self, gi: int, x: int, z: int) -> bool:
         """Windowed parities of a candidate against its own translates."""
         req_self = self.required[gi][gi]
-        for idx, (tx, tz) in enumerate(self.translates(x, z)):
+        for idx, (tx, tz) in enumerate(lattice.clipped_translates(x, z, self.qpc)):
             if (((x & tz).bit_count() + (z & tx).bit_count()) & 1) != req_self[idx]:
                 return False
         return True
@@ -449,7 +434,7 @@ class _SearchContext:
         gi = len(self.assigned)
         self._undo.append((self.domains, self.intro))
         domains = self.domains[:]
-        translates = self.translates(x, z)
+        translates = lattice.clipped_translates(x, z, self.qpc)
         for li in range(gi + 1, len(self.universes)):
             universe = self.universes[li]
             domain = domains[li]

@@ -14,10 +14,14 @@ images:
   flagged); with equal locals no translation-invariant Clifford exists at
   all, so deformed candidates are re-validated and rejected when broken.
 
-Each distinct generator map goes through the brute-force search's
-completion pipeline once, before which sequences are deduplicated by the
-map they reach: validation, one metrics pass, the filters and the Pareto
-front.  Every emitted encoding therefore re-validates.
+Sequences are walked length by length, each length as one depth-first
+walk over the gate pool that keeps the prefix images on a stack: every
+sequence applies one gate to the image of its prefix, and the sequences of
+a length come in ``itertools.permutations`` order.  Each distinct generator
+map goes through the brute-force search's completion pipeline once, before
+which sequences are deduplicated by the map they reach: validation, one
+metrics pass, the filters and the Pareto front.  Every emitted encoding
+therefore re-validates.
 """
 
 from __future__ import annotations
@@ -204,7 +208,7 @@ def _check_gate(layout: UnitCellLayout, g: CliffordGateOp) -> None:
         if cl == tl:
             raise ValueError("CNOT endpoints coincide")
         return
-    allowed = set(connected_cell_offsets(layout))
+    allowed = connected_cell_offsets(layout)
     if rel not in allowed and (-rel[0], -rel[1]) not in allowed:
         raise ValueError(f"cells at offset {rel} share no edge operator")
 
@@ -232,7 +236,8 @@ def apply_clifford(
     return replace(enc, generators=new_gens, stabilizer_generators=None, metrics=None), clipped
 
 
-def connected_cell_offsets(layout: UnitCellLayout) -> list[tuple[int, int]]:
+@lru_cache(maxsize=None)
+def connected_cell_offsets(layout: UnitCellLayout) -> tuple[tuple[int, int], ...]:
     """Nonzero cell offsets joined by some edge generator (one per +- class)."""
     offsets = set()
     for gen in generator_ids(layout):
@@ -244,7 +249,7 @@ def connected_cell_offsets(layout: UnitCellLayout) -> list[tuple[int, int]]:
         if (-off[0], -off[1]) in offsets:
             continue
         offsets.add(off)
-    return sorted(offsets)
+    return tuple(sorted(offsets))
 
 
 def sample_gate_set(cfg: CliffordConfig) -> list[CliffordGateOp]:
@@ -278,9 +283,27 @@ def sample_gate_set(cfg: CliffordConfig) -> list[CliffordGateOp]:
     return gates
 
 
-def _all_sequences(n_gates: int, max_len: int):
-    for k in range(max_len + 1):
-        yield from itertools.permutations(range(n_gates), k)
+def _gate_sequences(base: EncodingCandidate, gates: list[CliffordGateOp], max_len: int):
+    """Yield ``(sequence, image, clipped)`` for every ordered selection of
+    distinct gates, by length and then in ``itertools.permutations`` order.
+
+    Each length is one depth-first walk that keeps the prefix images on the
+    stack, so a sequence costs one gate application on its prefix's image.
+    Lengths beyond the pool are empty and not walked.
+    """
+    n = len(gates)
+
+    def walk(seq, enc, clipped, depth):
+        if not depth:
+            yield seq, enc, clipped
+            return
+        for i in range(n):
+            if i not in seq:
+                child, gate_clipped = apply_clifford(enc, gates[i])
+                yield from walk(seq + (i,), child, clipped or gate_clipped, depth - 1)
+
+    for k in range(min(max_len, n) + 1):
+        yield from walk((), base, False, k)
 
 
 def clifford_deform_search(
@@ -294,10 +317,12 @@ def clifford_deform_search(
     """Enumerate gate sequences over the sampled set and Pareto-filter results.
 
     Sequences are ordered selections without repetition up to the configured
-    length, walked in the calling thread.  The first sequence to reach a
-    generator map sends it through ``search_bruteforce._complete``, measured
-    with the budget ``max(cfg.min_distance_filter, final_w_max)``; later
-    sequences that reach the map add to the counter of its outcome.
+    length, walked in the calling thread by one prefix walk per length
+    (``_gate_sequences``): each sequence's image is its prefix's image with
+    one more gate applied, never a replay from the base.  The first sequence
+    to reach a generator map sends it through ``search_bruteforce._complete``,
+    measured with the budget ``max(cfg.min_distance_filter, final_w_max)``;
+    later sequences that reach the map add to the counter of its outcome.
     ``sink`` receives each accepted encoding plus a provenance dict naming
     the gate sequence.  ``threads`` remains as a keyword that takes only 1
     (``bench/worker.py`` passes it); any other value raises ValueError.
@@ -314,15 +339,11 @@ def clifford_deform_search(
     # Outcome label of every generator map reached so far: validation, the
     # metrics and the filters depend on the map alone.
     outcomes: dict[int, str] = {}
-    raw = _all_sequences(len(gates), cfg.max_sequence_length)
+    raw = _gate_sequences(cfg.base, gates, cfg.max_sequence_length)
     budget = cfg.sequence_budget
     sequences = raw if budget is None else itertools.islice(raw, budget)
-    for seq in sequences:
+    for seq, enc, clipped in sequences:
         report.nodes += 1
-        enc, clipped = cfg.base, False
-        for idx in seq:
-            enc, gate_clipped = apply_clifford(enc, gates[idx])
-            clipped = clipped or gate_clipped
         key = 0  # each word's x and z masks in one int, smaller than canonical_key()
         for word in enc.generators.values():
             key = (key << 2 * n) | (word.x_mask << n) | word.z_mask

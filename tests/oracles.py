@@ -8,7 +8,10 @@ lists the words the brute-force search may try for one generator, straight
 from the rules in the ``fqec.search_bruteforce`` docstring.
 ``greedy_thickness`` tests the whole layer for every edge, where
 ``fqec.connectivity.thickness_upper_bound`` skips the tests whose answer is
-known.
+known.  ``naive_validate`` translates one ``PauliWord`` per generator pair
+and shift, slot by slot, and asks the Majorana algebra for each parity,
+where ``fqec.encoding.validate`` translates raw masks once per generator
+and reads a cached table.
 """
 
 from __future__ import annotations
@@ -19,8 +22,13 @@ import networkx as nx
 
 from fqec import lattice
 from fqec.distance import DistanceResult
-from fqec.encoding import EncodingCandidate
-from fqec.fermion import GeneratorKind, far_cell_offset, generator_ids, required_parity_table
+from fqec.encoding import EncodingCandidate, Violation
+from fqec.fermion import (
+    GeneratorKind,
+    edge_vertex_required_parity,
+    far_cell_offset,
+    generator_ids,
+)
 from fqec.symplectic import PauliWord, commute_parity
 
 
@@ -143,6 +151,83 @@ def naive_min_distance(enc: "EncodingCandidate", w_max: int) -> DistanceResult:
 
 
 # ---------------------------------------------------------------------------
+# Windowed validation, one word pair and one shift at a time
+
+
+def translate_word_clipped(
+    a: PauliWord, shift: tuple[int, int], layout
+) -> PauliWord:
+    """Shift a word by whole cells, silently dropping slots that leave the window.
+
+    Slot by slot through the cell map, with none of ``fqec.lattice``'s shift
+    tables.  Dropped slots cannot overlap any in-window operator, so parities
+    against window-supported words keep their infinite-lattice values.
+    """
+    out = PauliWord.identity(a.n_slots)
+    for slot in range(a.n_slots):
+        letter = a.letter(slot)
+        if letter == "I":
+            continue
+        (x, y), local = lattice.cell_of(slot, layout)
+        cell = (x + shift[0], y + shift[1])
+        if 0 <= cell[0] < lattice.WINDOW and 0 <= cell[1] < lattice.WINDOW:
+            out = out.with_letter(lattice.slot_of(cell, local, layout), letter)
+    return out
+
+
+def _naive_cell_mask(layout, cell: tuple[int, int]) -> int:
+    return sum(
+        1 << lattice.slot_of(cell, local, layout) for local in range(layout.qubits_per_cell)
+    )
+
+
+def naive_validate(enc: EncodingCandidate) -> list[Violation]:
+    """Same contract as :func:`fqec.encoding.validate`, one pair at a time.
+
+    Translates the second word of every pair afresh for every shift and
+    asks the Majorana algebra for each required parity.
+    """
+    layout = enc.layout
+    violations: list[Violation] = []
+    ids = generator_ids(layout)
+    present = []
+    for gen in ids:
+        word = enc.generators.get(gen)
+        if word is None:
+            violations.append(Violation("missing-generator", gen.name))
+            continue
+        present.append(gen)
+        if not word.support & _naive_cell_mask(layout, lattice.CENTER):
+            violations.append(
+                Violation("anchoring", gen.name, "support misses the central cell")
+            )
+        if gen.kind is not GeneratorKind.VERTEX:
+            off = far_cell_offset(layout, gen)
+            far = (lattice.CENTER[0] + off[0], lattice.CENTER[1] + off[1])
+            if not word.support & _naive_cell_mask(layout, far):
+                violations.append(
+                    Violation(
+                        "anchoring", gen.name, f"support misses far endpoint cell {far}"
+                    )
+                )
+
+    for i, gen_a in enumerate(present):
+        img_a = enc.generators[gen_a]
+        for gen_b in present[i:]:
+            img_b = enc.generators[gen_b]
+            for shift in lattice.ALL_SHIFTS:
+                want = edge_vertex_required_parity(layout, gen_a, (0, 0), gen_b, shift)
+                got = commute_parity(img_a, translate_word_clipped(img_b, shift, layout))
+                if got != want:
+                    violations.append(
+                        Violation(
+                            "commutation", gen_a.name, gen_b.name, shift, want, got
+                        )
+                    )
+    return violations
+
+
+# ---------------------------------------------------------------------------
 # Brute-force search candidates, one word at a time
 
 
@@ -175,9 +260,11 @@ def search_candidates(
             if word.letter(slot) != "I":
                 history[local_of[slot]] += word.letter(slot)
     used = {local for local in range(qpc) if history[local]}
-    required = required_parity_table(layout)
     checks = [
-        (required[(gen, ids[j], shift)], lattice.translate_word_clipped(word, shift, layout))
+        (
+            edge_vertex_required_parity(layout, gen, (0, 0), ids[j], shift),
+            translate_word_clipped(word, shift, layout),
+        )
         for j, word in enumerate(prefix)
         for shift in lattice.ALL_SHIFTS
     ]

@@ -41,7 +41,6 @@ from fqec.lattice import (
     UnitCellLayout,
     cell_of,
     slot_of,
-    translate_word_clipped,
 )
 from fqec.search_bruteforce import (
     ParetoFront,
@@ -56,7 +55,7 @@ from fqec.search_clifford import (
     apply_clifford,
 )
 from fqec.symplectic import PauliWord, commute_parity, multiply, weight
-from oracles import naive_min_distance
+from oracles import naive_min_distance, translate_word_clipped
 
 NN2 = UnitCellLayout(2, Scheme.TWO_GRIDS, EdgeSet.NN_SQUARE)
 

@@ -1,9 +1,16 @@
 """Validation, stabilizer derivation and metrics."""
 
+import itertools
 import random
 from fractions import Fraction
 
-from conftest import jw_like, random_sound_deformation, vc_like, vc_with_composite_diagonals
+from conftest import (
+    jw_like,
+    load_fixture,
+    random_sound_deformation,
+    vc_like,
+    vc_with_composite_diagonals,
+)
 from fqec.encoding import (
     EncodingCandidate,
     compute_metrics,
@@ -12,8 +19,10 @@ from fqec.encoding import (
     validate,
 )
 from fqec.fermion import FermionGeneratorId, GeneratorKind, HamiltonianSpec
-from fqec.lattice import ALL_SHIFTS, EdgeSet, Scheme, UnitCellLayout, translate_word_clipped
+from fqec.lattice import ALL_SHIFTS, EdgeSet, Scheme, UnitCellLayout, translate_word
+from fqec.search_clifford import CliffordConfig, apply_clifford, sample_gate_set
 from fqec.symplectic import commute_parity, weight
+from oracles import naive_validate, translate_word_clipped
 
 NN2 = UnitCellLayout(2, Scheme.TWO_GRIDS, EdgeSet.NN_SQUARE)
 
@@ -165,3 +174,53 @@ class TestMetrics:
             for shift in ALL_SHIFTS:
                 moved = translate_word_clipped(stab, shift, layout)
                 assert commute_parity(onsite, moved) == 0
+
+
+class TestValidateMatchesOracle:
+    """``validate`` against ``oracles.naive_validate``, violation lists in order."""
+
+    @staticmethod
+    def assert_same(enc):
+        got = validate(enc)
+        assert got == naive_validate(enc)
+        return got
+
+    def test_fixtures(self):
+        for name in ("d1_nn_square.json", "d2_nn_square.json", "nnn_rank4.json",
+                     "triangular_rank2.json"):
+            assert self.assert_same(load_fixture(name)) == []
+
+    def test_replicated_snake_jw(self):
+        enc = jw_like(UnitCellLayout(1, Scheme.TWO_GRIDS, EdgeSet.NN_SQUARE))
+        assert len(self.assert_same(enc)) == 8
+
+    def test_missing_generator_and_anchoring(self, vc_encoding):
+        gens = dict(vc_encoding.generators)
+        del gens[FermionGeneratorId(GeneratorKind.VERTEX, 0)]
+        missing = self.assert_same(EncodingCandidate(NN2, gens))
+        assert missing[0].kind == "missing-generator"
+
+        gens = dict(vc_encoding.generators)
+        gen = FermionGeneratorId(GeneratorKind.EDGE_RIGHT, 0)
+        gens[gen] = translate_word(gens[gen], (-1, 0), NN2)
+        violations = self.assert_same(EncodingCandidate(NN2, gens))
+        assert any(v.kind == "anchoring" for v in violations)
+        assert any(v.kind == "commutation" for v in violations)
+
+    def test_every_map_of_a_deform_run(self, d2_encoding):
+        # The deform config of test_one_pipeline_pass_per_distinct_map: its
+        # 821 sequences reach 332 distinct maps, 196 of them invalid.
+        cfg = CliffordConfig(
+            base=d2_encoding, n_single_qubit_samples=3, n_cnot_pairs=1,
+            max_sequence_length=3, rng_seed=5,
+        )
+        gates = sample_gate_set(cfg)
+        maps = {}
+        for k in range(cfg.max_sequence_length + 1):
+            for seq in itertools.permutations(gates, k):
+                enc = cfg.base
+                for gate in seq:
+                    enc, _ = apply_clifford(enc, gate)
+                maps.setdefault(enc.canonical_key(), enc)
+        invalid = sum(1 for enc in maps.values() if self.assert_same(enc))
+        assert (invalid, len(maps)) == (196, 332)

@@ -37,9 +37,9 @@ from fqec.lattice import (
     EdgeSet,
     Scheme,
     UnitCellLayout,
-    translate_word_clipped,
 )
 from fqec.symplectic import commute_parity, multiply, weight
+from oracles import translate_word_clipped
 
 NN2 = UnitCellLayout(2, Scheme.TWO_GRIDS, EdgeSet.NN_SQUARE)
 

@@ -12,13 +12,14 @@ from fqec.lattice import (
     Scheme,
     UnitCellLayout,
     cell_of,
+    clipped_translates,
     edge_set_from_name,
     scheme_from_name,
     slot_of,
     translate_word,
-    translate_word_clipped,
 )
 from fqec.symplectic import PauliWord, weight
+from oracles import translate_word_clipped
 
 
 def snake_order_oracle(qpc):
@@ -95,6 +96,17 @@ class TestTranslate:
         clipped = translate_word_clipped(w, (1, 0), LAYOUT1)
         assert clipped.letter(slot_of((2, 1), 0, LAYOUT1)) == "X"
         assert weight(clipped) == 1
+
+    def test_clipped_translates_match_oracle(self):
+        rng = random.Random(8)
+        layout3 = UnitCellLayout(3, Scheme.TWO_GRIDS, EdgeSet.NN_SQUARE)
+        for layout in (LAYOUT1, layout3, LAYOUT6):
+            n = layout.n_slots
+            for _ in range(20):
+                w = PauliWord(rng.getrandbits(n), rng.getrandbits(n), n)
+                got = clipped_translates(w.x_mask, w.z_mask, layout.qubits_per_cell)
+                want = [translate_word_clipped(w, shift, layout) for shift in ALL_SHIFTS]
+                assert got == [(t.x_mask, t.z_mask) for t in want]
 
     def test_weight_preserved_when_in_window(self):
         rng = random.Random(6)

@@ -7,7 +7,7 @@ import pytest
 
 from fqec import encoding, search_bruteforce, search_clifford
 from fqec.encoding import EncodingCandidate, validate
-from fqec.lattice import ALL_SHIFTS, EdgeSet, Scheme, UnitCellLayout, translate_word_clipped
+from fqec.lattice import ALL_SHIFTS, EdgeSet, Scheme, UnitCellLayout
 from fqec.search_clifford import (
     ALL_LETTER_PERMS,
     CliffordConfig,
@@ -19,6 +19,7 @@ from fqec.search_clifford import (
     sample_gate_set,
 )
 from fqec.symplectic import commute_parity, weight
+from oracles import translate_word_clipped
 
 NN2 = UnitCellLayout(2, Scheme.TWO_GRIDS, EdgeSet.NN_SQUARE)
 
@@ -128,9 +129,9 @@ class TestCnotGates:
         assert validate(deformed)  # broken, so the search would reject it
 
     def test_connected_offsets(self):
-        assert connected_cell_offsets(NN2) == [(0, 1), (1, 0)]
+        assert connected_cell_offsets(NN2) == ((0, 1), (1, 0))
         tri = UnitCellLayout(2, Scheme.TWO_GRIDS, EdgeSet.TRIANGULAR)
-        assert connected_cell_offsets(tri) == [(0, 1), (1, 0), (1, 1)]
+        assert connected_cell_offsets(tri) == ((0, 1), (1, 0), (1, 1))
 
     def test_malformed_gates_rejected(self, vc_encoding):
         with pytest.raises(ValueError):
@@ -338,3 +339,85 @@ class TestDeformSearch:
                 report.emitted) == (821, 401, 0, 420, 26)
         assert calls == {"validate": len(maps) + 1, "compute_metrics": n_valid}
         assert len(emitted) == 26
+
+
+class TestSequenceWalk:
+    """The per-length prefix walk against a replay of every sequence."""
+
+    @staticmethod
+    def pipeline_cfg(base, **overrides):
+        # The config of test_one_pipeline_pass_per_distinct_map: 10 gates.
+        fields = dict(
+            base=base, n_single_qubit_samples=3, n_cnot_pairs=1,
+            max_sequence_length=3, rng_seed=5, min_distance_filter=1,
+        )
+        fields.update(overrides)
+        return CliffordConfig(**fields)
+
+    @staticmethod
+    def counting_apply(monkeypatch):
+        calls = []
+
+        def counted(enc, gate):
+            calls.append(gate)
+            return apply_clifford(enc, gate)
+
+        monkeypatch.setattr(search_clifford, "apply_clifford", counted)
+        return calls
+
+    def test_matches_replay(self, d2_encoding):
+        cfg = self.pipeline_cfg(d2_encoding)
+        gates = sample_gate_set(cfg)
+        replay = []
+        for k in range(cfg.max_sequence_length + 1):
+            for seq in itertools.permutations(range(len(gates)), k):
+                enc, clipped = cfg.base, False
+                for i in seq:
+                    enc, gate_clipped = apply_clifford(enc, gates[i])
+                    clipped = clipped or gate_clipped
+                replay.append((seq, enc.generators, clipped))
+        walked = [
+            (seq, enc.generators, clipped)
+            for seq, enc, clipped in search_clifford._gate_sequences(
+                cfg.base, gates, cfg.max_sequence_length
+            )
+        ]
+        assert len(walked) == 821
+        assert any(clipped for _, _, clipped in walked)
+        assert walked == replay
+
+    def test_one_gate_application_per_sequence(self, d2_encoding, monkeypatch):
+        # Replaying each sequence from the base would take 2,350 applications.
+        cfg = self.pipeline_cfg(d2_encoding)
+        calls = self.counting_apply(monkeypatch)
+        report = clifford_deform_search(cfg, lambda enc, prov: None, final_w_max=3)
+        assert report.nodes == 821
+        assert len(calls) == 930
+
+    def test_budget_cut_mid_length(self, d2_encoding):
+        # Length 3 spans sequences 102..821; the pinned report is the one the
+        # replay of every sequence gave.
+        cfg = self.pipeline_cfg(d2_encoding, sequence_budget=150)
+        emitted = []
+        report = clifford_deform_search(
+            cfg, lambda enc, prov: emitted.append(prov), final_w_max=3
+        )
+        assert report == search_bruteforce.SearchReport(
+            nodes=150, completions=102, filtered=0, invalid=48, emitted=20,
+            truncated=True, best_distance=2,
+        )
+        assert len(emitted) == 20
+
+    def test_lengths_beyond_the_pool_are_not_walked(self, vc_encoding, monkeypatch):
+        calls = self.counting_apply(monkeypatch)
+        reports = []
+        for extra in (0, 2):
+            cfg = CliffordConfig(
+                base=vc_encoding, n_single_qubit_samples=1, n_cnot_pairs=0,
+                max_sequence_length=4 + extra, rng_seed=3,
+            )
+            assert len(sample_gate_set(cfg)) == 4
+            calls.clear()
+            reports.append((clifford_deform_search(cfg, lambda enc, prov: None), len(calls)))
+        assert reports[0] == reports[1]
+        assert reports[0][0].nodes == 1 + 4 + 12 + 24 + 24
