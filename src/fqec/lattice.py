@@ -200,3 +200,35 @@ def clipped_translates(x: int, z: int, qubits_per_cell: int) -> list[tuple[int, 
         _translate_masks(x, z, table, True)
         for table in _shift_tables(qubits_per_cell).values()
     ]
+
+
+@lru_cache(maxsize=None)
+def _pair_shift_bits(qubits_per_cell: int) -> tuple[tuple[int, ...], ...]:
+    """``table[p][q]``: the ``ALL_SHIFTS`` index bits of ``cell(p) - cell(q)``
+    and of its negation for distinct slots on one local, else 0."""
+    index, cells = {shift: i for i, shift in enumerate(ALL_SHIFTS)}, _cells_by_index()
+    n = qubits_per_cell * len(cells)
+    rows = [[0] * n for _ in range(n)]
+    for p in range(n):
+        for q in range(p % qubits_per_cell, p, qubits_per_cell):
+            (xp, yp), (xq, yq) = cells[p // qubits_per_cell], cells[q // qubits_per_cell]
+            bits = 1 << index[(xp - xq, yp - yq)] | 1 << index[(xq - xp, yq - yp)]
+            rows[p][q] = rows[q][p] = bits
+    return tuple(map(tuple, rows))
+
+
+def self_parities(x: int, z: int, qubits_per_cell: int) -> int:
+    """Bitmask over ``ALL_SHIFTS`` indices of a window word's parities against
+    its own clipped translates.  The translate by ``s`` meets the word only at
+    pairs of its slots on one local ``s`` cells apart (clipped slots meet
+    nothing), and each pair whose letters anticommute flips ``s`` and ``-s``."""
+    table, out, seen, m = _pair_shift_bits(qubits_per_cell), 0, [], x | z
+    while m:
+        p = (m & -m).bit_length() - 1
+        m &= m - 1
+        row = table[p]
+        for q in seen:
+            if row[q] and (x >> p & z >> q ^ z >> p & x >> q) & 1:
+                out ^= row[q]
+        seen.append(p)
+    return out

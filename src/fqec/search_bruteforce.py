@@ -17,10 +17,12 @@ is tried for the next generator when it passes:
   generator.
 
 Survivors then face, in order, windowed commutation against their own
-translates, the hopping caps and the stochastic gate.  The capped hops (NN,
-plus NNN under ``nn+nnn``) are planned once per run: each is checked at
-the level that assigns the last of its edges and endpoint vertices, so a
-level that completes no hop skips the check.
+translates (read from pairs of their slots on one local: a window word's
+translate by s meets it only at such pairs s cells apart), the hopping
+caps and the stochastic gate.  The capped hops (NN, plus NNN under
+``nn+nnn``) are planned once per run: each is checked at the level that
+assigns the last of its edges and endpoint vertices, so a level that
+completes no hop skips the check.
 
 The words that pass the static checks form the level's universe, built
 once per run and indexed in enumeration order: by weight, then
@@ -52,7 +54,7 @@ import bisect
 import enum
 import itertools
 import random
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from functools import lru_cache
 from typing import TYPE_CHECKING, Callable, Iterator
 
@@ -209,15 +211,7 @@ class SearchReport:
     best_distance: int | None = None
 
     def to_json(self) -> dict:
-        return {
-            "nodes": self.nodes,
-            "completions": self.completions,
-            "filtered": self.filtered,
-            "invalid": self.invalid,
-            "emitted": self.emitted,
-            "truncated": self.truncated,
-            "best_distance": self.best_distance,
-        }
+        return asdict(self)
 
 
 # ---------------------------------------------------------------------------
@@ -375,7 +369,8 @@ class _SearchContext:
                 cap = cfg.max_edge_or_hopping_weight
             self.universes.append(_Universe(layout, masks, cap))
 
-        self.required = required_parity_table(layout)
+        self.required = req = required_parity_table(layout)
+        self.self_required = [sum(b << s for s, b in enumerate(r[i])) for i, r in enumerate(req)]
 
         # Canonical directions only: a mirrored hop shares their weights.
         level_of = {gen: gi for gi, gen in enumerate(self.gen_order)}
@@ -421,12 +416,9 @@ class _SearchContext:
     # -- pruning checks ----------------------------------------------------
 
     def self_commutation_ok(self, gi: int, x: int, z: int) -> bool:
-        """Windowed parities of a candidate against its own translates."""
-        req_self = self.required[gi][gi]
-        for idx, (tx, tz) in enumerate(lattice.clipped_translates(x, z, self.qpc)):
-            if (((x & tz).bit_count() + (z & tx).bit_count()) & 1) != req_self[idx]:
-                return False
-        return True
+        """Windowed parities against its own clipped translates, read from its
+        same-local slot pairs (clipped slots never meet a window word)."""
+        return lattice.self_parities(x, z, self.qpc) == self.self_required[gi]
 
     def assign(self, x: int, z: int) -> None:
         """Append a word to the prefix: filter every later domain by its

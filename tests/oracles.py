@@ -11,12 +11,16 @@ from the rules in the ``fqec.search_bruteforce`` docstring.
 known.  ``naive_validate`` translates one ``PauliWord`` per generator pair
 and shift, slot by slot, and asks the Majorana algebra for each parity,
 where ``fqec.encoding.validate`` translates raw masks once per generator
-and reads a cached table.
+and reads a cached table.  ``naive_self_commutation_ok`` builds every
+clipped translate of one word and asks the Majorana algebra for each
+parity, where ``_SearchContext.self_commutation_ok`` reads pairs of the
+word's own slots and builds no translate.
 """
 
 from __future__ import annotations
 
 import itertools
+from functools import lru_cache
 
 import networkx as nx
 
@@ -164,10 +168,8 @@ def translate_word_clipped(
     against window-supported words keep their infinite-lattice values.
     """
     out = PauliWord.identity(a.n_slots)
-    for slot in range(a.n_slots):
+    for slot in a.support_slots():
         letter = a.letter(slot)
-        if letter == "I":
-            continue
         (x, y), local = lattice.cell_of(slot, layout)
         cell = (x + shift[0], y + shift[1])
         if 0 <= cell[0] < lattice.WINDOW and 0 <= cell[1] < lattice.WINDOW:
@@ -225,6 +227,23 @@ def naive_validate(enc: EncodingCandidate) -> list[Violation]:
                         )
                     )
     return violations
+
+
+@lru_cache(maxsize=None)
+def _self_required(layout, gen) -> tuple[int, ...]:
+    return tuple(
+        edge_vertex_required_parity(layout, gen, (0, 0), gen, shift)
+        for shift in lattice.ALL_SHIFTS
+    )
+
+
+def naive_self_commutation_ok(layout, gen, word: PauliWord) -> bool:
+    """Whether ``word``, as generator ``gen``, has the required parity against
+    each of its own clipped translates, translated one shift at a time."""
+    return all(
+        commute_parity(word, translate_word_clipped(word, shift, layout)) == want
+        for shift, want in zip(lattice.ALL_SHIFTS, _self_required(layout, gen))
+    )
 
 
 # ---------------------------------------------------------------------------

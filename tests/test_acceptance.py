@@ -302,9 +302,14 @@ def test_criterion_5_brute_force_rediscovery():
         rng_seed=1,
     )
     found = []
-    brute_force_search(cfg, found.append, final_w_max=3)
+    result = brute_force_search(cfg, found.append, final_w_max=3)
     elapsed = time.time() - start
     assert found, "no encoding emitted"
+    # Golden work counters: a pruning rule that changes the tree fails here,
+    # not only by moving the front.
+    assert (
+        result.nodes, result.completions, result.filtered, result.invalid, result.emitted
+    ) == (5686, 274, 214, 0, 5)
     best = max(enc.metrics.distance.value for enc in found if enc.metrics.distance.exact)
     assert best >= 2
     for enc in found:

@@ -11,6 +11,8 @@ from fqec.lattice import (
     EdgeSet,
     Scheme,
     UnitCellLayout,
+    _pair_shift_bits,
+    _shift_tables,
     cell_of,
     clipped_translates,
     edge_set_from_name,
@@ -123,6 +125,30 @@ class TestTranslate:
         w = PauliWord.identity(9)
         with pytest.raises(ValueError):
             translate_word(w, (3, 0), LAYOUT1)
+
+
+class TestPairShiftBits:
+    @pytest.mark.parametrize("qpc", [1, 2, 3])
+    def test_bits_are_the_shifts_that_map_one_slot_onto_the_other(self, qpc):
+        layout = UnitCellLayout(qpc, Scheme.TWO_GRIDS, EdgeSet.NN_SQUARE)
+        table = _pair_shift_bits(qpc)
+        maps = _shift_tables(qpc)
+        negated = [ALL_SHIFTS.index((-dx, -dy)) for dx, dy in ALL_SHIFTS]
+        n = layout.n_slots
+        assert len(table) == n and all(len(row) == n for row in table)
+        for p in range(n):
+            for q in range(n):
+                bits = table[p][q]
+                same_local = cell_of(p, layout)[1] == cell_of(q, layout)[1]
+                if p == q or not same_local:
+                    assert bits == 0, (p, q)
+                    continue
+                for s, shift in enumerate(ALL_SHIFTS):
+                    moved = maps[shift][q] == p or maps[shift][p] == q
+                    assert bool(bits >> s & 1) == moved, (p, q, shift)
+                    assert (bits >> s & 1) == (bits >> negated[s] & 1), (p, q, shift)
+                assert bits.bit_count() == 2
+                assert table[q][p] == bits
 
 
 class TestLayout:

@@ -5,21 +5,23 @@ import random
 
 import pytest
 
-from fqec.encoding import EncodingCandidate, validate
-from fqec.fermion import generator_ids
-from fqec.lattice import EdgeSet, Scheme, UnitCellLayout, cell_index
+from fqec import lattice
+from fqec.encoding import EncodingCandidate, _cell_mask, validate
+from fqec.fermion import GeneratorKind, far_cell_offset, generator_ids
+from fqec.lattice import ALL_SHIFTS, CENTER, EdgeSet, Scheme, UnitCellLayout, cell_index, slot_of
 from fqec.search_bruteforce import (
     HoppingCapMode,
     ParetoFront,
     SearchConfig,
     _SearchContext,
+    _Universe,
     brute_force_search,
     derive_subtree_seed,
     dominates,
     stochastic_gate,
 )
 from fqec.symplectic import PauliWord
-from oracles import naive_min_distance, search_candidates
+from oracles import naive_min_distance, naive_self_commutation_ok, search_candidates
 
 QPC1 = UnitCellLayout(1, Scheme.TWO_GRIDS, EdgeSet.NN_SQUARE)
 QPC2 = UnitCellLayout(2, Scheme.TWO_GRIDS, EdgeSet.NN_SQUARE)
@@ -211,6 +213,101 @@ class TestCandidateEngine:
         walk(0)
         assert (walked["nodes"], walked["completions"]) == (report.nodes, report.completions)
         assert walked["levels"] > 1
+
+
+ALL_LAYOUTS = [
+    UnitCellLayout(qpc, scheme, edge_set)
+    for scheme in Scheme
+    for edge_set in EdgeSet
+    for qpc in (1, 2, 3)
+]
+
+
+def _layout_id(layout):
+    return f"{layout.scheme.value}-{layout.edge_set.value}-q{layout.qubits_per_cell}"
+
+
+class TestSelfCommutationKernel:
+    """The slot-pair self-commutation check equals a translate-by-translate oracle."""
+
+    @pytest.mark.parametrize("layout", ALL_LAYOUTS, ids=_layout_id)
+    def test_every_cap2_word_matches_oracle(self, layout):
+        ctx = _SearchContext(SearchConfig(layout, 2, 2))
+        for gi, (gen, universe) in enumerate(zip(ctx.gen_order, ctx.universes)):
+            for index in range(universe.full.bit_length()):
+                x, z = universe.word(index)
+                word = PauliWord(x, z, layout.n_slots)
+                assert ctx.self_commutation_ok(gi, x, z) == naive_self_commutation_ok(
+                    layout, gen, word
+                ), (gen.name, word)
+
+    @pytest.mark.parametrize("qpc", [1, 2, 3])
+    def test_sampled_cap4_words_match_oracle(self, qpc):
+        # The kernel depends on the layout only through qubits per cell and
+        # each level's required row, which the cap-2 test covers for every
+        # level.  So each cap-4 word set (fixed by the cells a generator must
+        # touch) is sampled once, and its words are spread over the levels of
+        # every layout that shares it.
+        users: dict[tuple, list] = {}
+        for layout in ALL_LAYOUTS:
+            if layout.qubits_per_cell != qpc:
+                continue
+            ctx = _SearchContext(SearchConfig(layout, 2, 2))
+            for gi, gen in enumerate(ctx.gen_order):
+                cells = {CENTER}
+                if gen.kind is not GeneratorKind.VERTEX:
+                    dx, dy = far_cell_offset(layout, gen)
+                    cells.add((CENTER[0] + dx, CENTER[1] + dy))
+                users.setdefault(tuple(sorted(cells)), []).append((ctx, gi))
+        for cells, levels in sorted(users.items()):
+            layout = levels[0][0].layout
+            universe = _Universe(layout, tuple(_cell_mask(layout, c) for c in cells), 4)
+            rng = random.Random(f"{qpc}:{cells}")
+            size = universe.full.bit_length()
+            indices = rng.sample(range(size), min(size, 3000))
+            for k, index in enumerate(indices):
+                ctx, gi = levels[k % len(levels)]
+                x, z = universe.word(index)
+                word = PauliWord(x, z, layout.n_slots)
+                assert ctx.self_commutation_ok(gi, x, z) == naive_self_commutation_ok(
+                    ctx.layout, ctx.gen_order[gi], word
+                ), (_layout_id(ctx.layout), ctx.gen_order[gi].name, word)
+
+    @pytest.mark.parametrize(
+        "letters, ok", [("XZ", False), ("XY", False), ("ZY", False), ("XX", True), ("YY", True)]
+    )
+    @pytest.mark.parametrize(
+        "cells", [(CENTER, (2, 1)), ((0, 1), (2, 1))], ids=["adjacent", "distance-2"]
+    )
+    def test_hand_cases_on_one_local(self, letters, ok, cells):
+        # Two letters on local 0, one or two cells apart, and a Z on local 1
+        # of the centre cell that anchors the word and meets no translate.
+        ctx = _SearchContext(SearchConfig(QPC2, 2, 2))
+        vertex = [g.name for g in ctx.gen_order].index("vertex:0")
+        word = (
+            PauliWord.identity(QPC2.n_slots)
+            .with_letter(slot_of(cells[0], 0, QPC2), letters[0])
+            .with_letter(slot_of(cells[1], 0, QPC2), letters[1])
+            .with_letter(slot_of(CENTER, 1, QPC2), "Z")
+        )
+        assert ctx.self_commutation_ok(vertex, word.x_mask, word.z_mask) is ok
+        assert naive_self_commutation_ok(QPC2, ctx.gen_order[vertex], word) is ok
+
+    def test_pair_parities_flip_both_signs_of_the_shift(self):
+        # X and Z on local 0 one cell apart anticommute at exactly (1, 0) and
+        # (-1, 0): the edge-right generator's required self parities.
+        ctx = _SearchContext(SearchConfig(QPC2, 2, 2))
+        word = (
+            PauliWord.identity(QPC2.n_slots)
+            .with_letter(slot_of(CENTER, 0, QPC2), "X")
+            .with_letter(slot_of((2, 1), 0, QPC2), "Z")
+        )
+        bits = lattice.self_parities(word.x_mask, word.z_mask, 2)
+        assert [ALL_SHIFTS[s] for s in range(len(ALL_SHIFTS)) if bits >> s & 1] == [
+            (-1, 0), (1, 0),
+        ]
+        right = [g.name for g in ctx.gen_order].index("edge-right:0")
+        assert ctx.self_commutation_ok(right, word.x_mask, word.z_mask)
 
 
 class TestSearchSoundness:
