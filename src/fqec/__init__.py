@@ -16,10 +16,8 @@ from .fermion import (
     MajoranaWord,
     composite_edge,
     edge_vertex_required_parity,
-    enumerate_hamiltonian_terms,
     loop_stabilizer,
     majorana_commute_parity,
-    onsite_pauli_term,
 )
 from .lattice import EdgeSet, Scheme, UnitCellLayout, slot_of, translate_word
 from .search_bruteforce import (
@@ -80,14 +78,12 @@ __all__ = [
     "compute_metrics",
     "derive_stabilizers",
     "edge_vertex_required_parity",
-    "enumerate_hamiltonian_terms",
     "format_pauli",
     "is_logical",
     "loop_stabilizer",
     "majorana_commute_parity",
     "min_distance",
     "multiply",
-    "onsite_pauli_term",
     "parse_pauli",
     "sample_gate_set",
     "slot_of",

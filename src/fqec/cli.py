@@ -415,7 +415,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_export.add_argument("front", help="JSON-lines file of encoding documents")
     p_export.add_argument("--hamiltonian", default="1,0,4")
     p_export.add_argument("--w-max", type=_positive_int, default=3)
-    p_export.add_argument("--format", choices=("csv",), default="csv")
     p_export.add_argument("--output")
     p_export.set_defaults(func=cmd_export)
 

@@ -38,9 +38,8 @@ from typing import TYPE_CHECKING
 import networkx as nx
 
 from . import fermion, lattice
-from .fermion import HamiltonianSpec, enumerate_hamiltonian_terms
-from .lattice import CENTER, Scheme, WINDOW
-from .symplectic import PauliWord
+from .fermion import HamiltonianSpec
+from .lattice import CENTER, WINDOW
 
 if TYPE_CHECKING:  # pragma: no cover
     from .encoding import EncodingCandidate
@@ -74,43 +73,34 @@ def node_name(node: Node) -> str:
     return f"s{node[1]}c{node[2]}"
 
 
-def _wrapped_slots(
-    word: PauliWord, shift: tuple[int, int], layout
-) -> list[int]:
-    """Support slots of the word translated by ``shift`` with periodic wrap."""
+def _wrapped_slots(support: int, shift: tuple[int, int], layout) -> list[int]:
+    """Slots of a support mask translated by ``shift`` with periodic wrap."""
     out = []
-    for slot in word.support_slots():
-        (x, y), local = lattice.cell_of(slot, layout)
-        cell = ((x + shift[0]) % WINDOW, (y + shift[1]) % WINDOW)
-        out.append(lattice.slot_of(cell, local, layout))
+    for slot in range(layout.n_slots):
+        if support >> slot & 1:
+            (x, y), local = lattice.cell_of(slot, layout)
+            cell = ((x + shift[0]) % WINDOW, (y + shift[1]) % WINDOW)
+            out.append(lattice.slot_of(cell, local, layout))
     return sorted(set(out))
 
 
-def _term_words(enc: "EncodingCandidate", spec: HamiltonianSpec) -> list[PauliWord]:
-    """Pauli words the hardware must implement, one orbit representative each.
+def _term_words(enc: "EncodingCandidate", spec: HamiltonianSpec) -> list[tuple[int, int]]:
+    """(x, z) masks of the Pauli words the hardware must implement.
 
-    Both words of each canonical hopping direction plus the on-site word
-    (for duplicated-grid schemes: the per-copy vertex factor).
+    Every word of each orbit in ``fermion.term_orbits`` (the NNN hops only
+    when t' is nonzero), identity words dropped and each word once: both
+    words of each hop orbit, and the on-site word (for duplicated-grid
+    schemes, the per-copy vertex factor).
     """
-    words: list[PauliWord] = []
-    seen: set[tuple[int, int]] = set()
-
-    def push(word: PauliWord) -> None:
-        key = (word.x_mask, word.z_mask)
-        if key not in seen and not word.is_identity():
-            seen.add(key)
-            words.append(word)
-
-    for term in enumerate_hamiltonian_terms(spec, enc.layout):
-        if term.kind == "hopping":
-            if term.direction not in fermion._KIND_BY_DIRECTION:
-                continue  # the mirror is a translate of the canonical orbit
-            for word in fermion.hopping_pair(enc, term.mode, term.direction):
-                push(word)
-        elif enc.layout.scheme is Scheme.MIXED:
-            push(fermion.onsite_pauli_term(enc))
-        else:
-            push(fermion.vertex_image(enc, fermion.Vertex(CENTER, term.mode)))
+    layout = enc.layout
+    masks = fermion.generator_masks(enc)
+    words: list[tuple[int, int]] = []
+    for orbit in fermion.term_orbits(layout):
+        if orbit.nnn and spec.t_prime == 0.0:
+            continue
+        for word in fermion.term_masks(orbit, masks, layout.qubits_per_cell):
+            if word not in words and word != (0, 0):
+                words.append(word)
     return words
 
 
@@ -130,12 +120,12 @@ def build_graph(enc: "EncodingCandidate", spec: HamiltonianSpec) -> Connectivity
         for ci, shift in enumerate(shifts):
             ancilla = ("s", si, ci)
             graph.ancilla_nodes.append(ancilla)
-            for slot in _wrapped_slots(stab, shift, layout):
+            for slot in _wrapped_slots(stab.support, shift, layout):
                 graph.add_edge(ancilla, ("q", slot), STABILIZER_READOUT)
 
-    for word in _term_words(enc, spec):
+    for x, z in _term_words(enc, spec):
         for shift in shifts:
-            slots = _wrapped_slots(word, shift, layout)
+            slots = _wrapped_slots(x | z, shift, layout)
             for a, b in zip(slots, slots[1:]):
                 graph.add_edge(("q", a), ("q", b), LOGICAL_TERM)
     return graph

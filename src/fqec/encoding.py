@@ -22,7 +22,6 @@ from .fermion import (
     FermionGeneratorId,
     GeneratorKind,
     HamiltonianSpec,
-    enumerate_hamiltonian_terms,
     far_cell_offset,
     generator_ids,
     required_parity_table,
@@ -185,46 +184,35 @@ def derive_stabilizers(enc: EncodingCandidate) -> tuple[PauliWord, ...]:
     return tuple(out)
 
 
-def term_weight_map(enc: EncodingCandidate) -> dict[str, tuple[str, bool, int]]:
-    """Weights of every Hubbard logical-term descriptor (NN and NNN).
-
-    Maps descriptor name to (kind, is_nnn, weight).  Hopping weight is the
-    max of the two Pauli terms of the Hermitian pair; on-site weight counts
-    both spin vertices.
-    """
-    full = enumerate_hamiltonian_terms(HamiltonianSpec(t_prime=1.0), enc.layout)
-    out: dict[str, tuple[str, bool, int]] = {}
-    for term in full:
-        if term.kind == "hopping":
-            w = fermion.hopping_weight(enc, term.mode, term.direction)
-        else:
-            w = fermion.onsite_weight(enc, term.mode)
-        out[term.name] = (term.kind, term.nnn, w)
-    return out
-
-
 def compute_metrics(
     enc: EncodingCandidate, spec: HamiltonianSpec, w_max: int
 ) -> Metrics:
     """Distance, stabilizer weight and mean logical weights of an encoding.
 
-    Both sigma values are always computed (the NNN set merely adds the four
-    diagonal hops, composed from defined edges where necessary); coupling
-    magnitudes in ``spec`` do not affect any weight.
+    Each term orbit of ``fermion.term_orbits`` is measured once, and its
+    weight counts once per term it names.  Both sigma values are always
+    computed (the NNN set merely adds the four diagonal hops, composed from
+    defined edges where necessary); coupling magnitudes in ``spec`` do not
+    affect any weight.
     """
     if enc.stabilizer_generators is None:
         enc = enc.with_stabilizers(derive_stabilizers(enc))
     dist = min_distance(enc, DistanceBudget(w_max=w_max))
     stabs = enc.stabilizer_generators or ()
     max_stab = max((weight(s) for s in stabs), default=0)
-    weights = term_weight_map(enc)
-    nn = [w for (_, is_nnn, w) in weights.values() if not is_nnn]
-    all_terms = [w for (_, _, w) in weights.values()]
+    layout = enc.layout
+    masks = fermion.generator_masks(enc)
+    weights = []  # (name, is_nnn, weight) per term
+    for orbit in fermion.term_orbits(layout):
+        w = fermion.hopping_weight(orbit, masks, layout.qubits_per_cell)
+        weights.extend((name, orbit.nnn, w) for name in orbit.names)
+    nn = [w for _, is_nnn, w in weights if not is_nnn]
+    all_terms = [w for _, _, w in weights]
     return Metrics(
         distance=dist,
         max_stab_weight=max_stab,
         sigma_nn=Fraction(sum(nn), len(nn)),
         sigma_nnn=Fraction(sum(all_terms), len(all_terms)),
-        qubit_ratio=Fraction(enc.layout.qubits_per_cell, enc.layout.modes_per_cell),
-        term_weights=tuple((name, w) for name, (_, _, w) in sorted(weights.items())),
+        qubit_ratio=Fraction(layout.qubits_per_cell, layout.modes_per_cell),
+        term_weights=tuple(sorted((name, w) for name, _, w in weights)),
     )

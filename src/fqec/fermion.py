@@ -15,6 +15,12 @@ Vertex generators are mode parities (two Majorana factors on one mode);
 edge generators link a mode to its site-space neighbor in a fixed direction.
 Every generator is stored as the Pauli image of the instance anchored at the
 window's central cell; other instances are cell translations of it.
+
+The Hubbard terms are listed only here, in ``term_orbits``: one table per
+layout, built on first use, with one entry per term orbit (a hop and its
+mirror share one).  ``term_masks`` builds an orbit's words from the
+generators' raw ``(x, z)`` masks and ``hopping_weight`` measures it, for the
+metrics, the search's hop caps and filter, and the graph's term chains.
 """
 
 from __future__ import annotations
@@ -26,7 +32,7 @@ from typing import TYPE_CHECKING, NamedTuple
 
 from . import lattice
 from .lattice import CENTER, EdgeSet, Scheme, UnitCellLayout
-from .symplectic import PauliWord, multiply, weight
+from .symplectic import PauliWord
 
 if TYPE_CHECKING:  # pragma: no cover
     from .encoding import EncodingCandidate
@@ -51,10 +57,6 @@ EDGE_DIRECTIONS = {
     GeneratorKind.EDGE_DIAG_UR: (1, 1),
     GeneratorKind.EDGE_DIAG_UL: (-1, 1),
 }
-
-#: Edge kind of each canonical direction; the other hop directions are their
-#: negatives.
-_KIND_BY_DIRECTION = {d: kind for kind, d in EDGE_DIRECTIONS.items()}
 
 _KINDS_BY_EDGE_SET = {
     EdgeSet.NN_SQUARE: (GeneratorKind.EDGE_RIGHT, GeneratorKind.EDGE_UP),
@@ -258,79 +260,80 @@ def required_parity_table(
 
 
 # ---------------------------------------------------------------------------
-# Instance images and products
+# Instance products on raw masks
+
+#: A generator instance: the generator's index in ``generator_ids`` order and
+#: the shift of its anchor cell from the central cell.
+Instance = tuple[int, tuple[int, int]]
 
 
-def instance_image(
-    enc: "EncodingCandidate", gen: FermionGeneratorId, anchor: tuple[int, int]
-) -> PauliWord | None:
-    """Pauli image of the generator instance anchored at window cell ``anchor``.
-
-    ``None`` when the translated image does not fit the window.
-    """
-    word = enc.generators.get(gen)
-    if word is None:
-        raise KeyError(f"generator {gen.name} is not assigned")
-    shift = (anchor[0] - CENTER[0], anchor[1] - CENTER[1])
-    if max(abs(shift[0]), abs(shift[1])) > lattice.SHIFT_RANGE:
-        return None
-    return lattice.translate_word(word, shift, enc.layout)
+@lru_cache(maxsize=None)
+def _generator_index(layout: UnitCellLayout) -> dict[FermionGeneratorId, int]:
+    return {gen: i for i, gen in enumerate(generator_ids(layout))}
 
 
-def _edge_instance(
-    layout: UnitCellLayout, v: Vertex, w: Vertex
-) -> tuple[FermionGeneratorId, tuple[int, int]]:
-    """The edge generator orbit and anchor joining two mode instances."""
+def _instance(
+    layout: UnitCellLayout, gen: FermionGeneratorId, anchor: tuple[int, int]
+) -> Instance:
+    return _generator_index(layout)[gen], (anchor[0] - CENTER[0], anchor[1] - CENTER[1])
+
+
+def _edge_instance(layout: UnitCellLayout, v: Vertex, w: Vertex) -> Instance:
+    """The edge generator instance joining two mode instances."""
     for kind in edge_kinds(layout):
         if step(layout, v, EDGE_DIRECTIONS[kind]) == w:
-            return FermionGeneratorId(kind, v.mode), v.cell
+            return _instance(layout, FermionGeneratorId(kind, v.mode), v.cell)
         if step(layout, w, EDGE_DIRECTIONS[kind]) == v:
-            return FermionGeneratorId(kind, w.mode), w.cell
+            return _instance(layout, FermionGeneratorId(kind, w.mode), w.cell)
     raise PathError(f"no defined edge between {v} and {w}")
+
 
 _REANCHOR_ORDER = tuple(
     sorted(lattice.ALL_SHIFTS, key=lambda s: (max(abs(s[0]), abs(s[1])), s))
 )
 
 
-def _product_of_instances(
-    enc: "EncodingCandidate",
-    instances: list[tuple[FermionGeneratorId, tuple[int, int]]],
-) -> PauliWord:
-    """Product of generator instances, re-anchored together if needed to fit.
+def generator_masks(enc: "EncodingCandidate") -> list[tuple[int, int]]:
+    """(x, z) masks of every generator of an encoding, in ``generator_ids`` order."""
+    words = [enc.generators[gen] for gen in generator_ids(enc.layout)]
+    return [(w.x_mask, w.z_mask) for w in words]
+
+
+def _product_masks(
+    instances: tuple[Instance, ...], masks: list[tuple[int, int]], qubits_per_cell: int
+) -> tuple[int, int]:
+    """Masks of a product of generator instances, re-anchored together if
+    needed to fit; ``masks[i]`` holds generator ``i``'s masks.
 
     Anchors are shifted by a common offset (identity first) until every
-    constituent image fits the window; the product is translation-equivalent
+    instance's image fits the window; the product is translation-equivalent
     to the requested one.
     """
-    layout = enc.layout
+    tables = lattice._shift_tables(qubits_per_cell)
     for dx, dy in _REANCHOR_ORDER:
-        words = []
-        for gen, (ax, ay) in instances:
-            img = instance_image(enc, gen, (ax + dx, ay + dy))
-            if img is None:
+        x = z = 0
+        for gi, (sx, sy) in instances:
+            table = tables.get((sx + dx, sy + dy))
+            if table is None:
                 break
-            words.append(img)
+            moved = lattice._translate_masks(*masks[gi], table, False)
+            if moved is None:
+                break
+            x ^= moved[0]
+            z ^= moved[1]
         else:
-            out = PauliWord.identity(layout.n_slots)
-            for word in words:
-                out = multiply(out, word)
-            return out
+            return x, z
     raise PathError("product of edge instances does not fit the window at any anchor")
-
-
-def vertex_image(enc: "EncodingCandidate", vertex: Vertex) -> PauliWord:
-    """Pauli image of a mode instance's vertex generator, re-anchored to fit."""
-    gen = FermionGeneratorId(GeneratorKind.VERTEX, vertex.mode)
-    return _product_of_instances(enc, [(gen, vertex.cell)])
 
 
 def composite_edge(path: list[Vertex], enc: "EncodingCandidate") -> PauliWord:
     """Product of the edges along a path: an effective edge between its endpoints."""
     if len(path) < 2:
         raise ValueError("path needs at least two vertices")
-    instances = [_edge_instance(enc.layout, v, w) for v, w in zip(path, path[1:])]
-    return _product_of_instances(enc, instances)
+    layout = enc.layout
+    instances = tuple(_edge_instance(layout, v, w) for v, w in zip(path, path[1:]))
+    x, z = _product_masks(instances, generator_masks(enc), layout.qubits_per_cell)
+    return PauliWord(x, z, layout.n_slots)
 
 
 def loop_stabilizer(cycle: list[Vertex], enc: "EncodingCandidate") -> PauliWord:
@@ -394,137 +397,114 @@ class HamiltonianSpec:
     U: float = 1.0
 
 
-NN_DIRECTIONS = ((1, 0), (-1, 0), (0, 1), (0, -1))
-NNN_DIRECTIONS = ((1, 1), (-1, -1), (-1, 1), (1, -1))
-
 _DIRECTION_NAMES = {
     (1, 0): "+x", (-1, 0): "-x", (0, 1): "+y", (0, -1): "-y",
     (1, 1): "+ur", (-1, -1): "-ur", (-1, 1): "+ul", (1, -1): "-ul",
 }
 
 
-@dataclass(frozen=True)
-class TermDescriptor:
-    """One distinct logical operator orbit of the Hubbard Hamiltonian."""
+class TermOrbit(NamedTuple):
+    """One translation orbit of Hubbard terms on a layout.
 
-    name: str
+    ``names`` are the terms the orbit's weight stands for: a hop and its
+    mirror share one orbit.  Each entry of ``words`` is one Pauli word of
+    the orbit as a tuple of parts; a part is a tuple of generator instances
+    re-anchored together, and the word is the product of its parts.
+    ``copies`` is 2 for an on-site word whose opposite spin acts on the
+    disjoint duplicate grid, else 1.
+    """
+
+    names: tuple[str, ...]
     kind: str  # "hopping" | "onsite"
-    mode: int
-    direction: tuple[int, int] | None = None
-    nnn: bool = False
+    nnn: bool
+    words: tuple[tuple[tuple[Instance, ...], ...], ...]
+    copies: int = 1
 
 
-def _onsite_modes(layout: UnitCellLayout) -> tuple[int, ...]:
-    # Mixed cells host both spins of one site; every other scheme pairs each
-    # in-window mode with its disjoint opposite-spin copy, one term per mode.
-    if layout.scheme is Scheme.MIXED:
-        return (0,)
-    return tuple(range(layout.modes_per_cell))
+@lru_cache(maxsize=None)
+def term_orbits(layout: UnitCellLayout) -> tuple[TermOrbit, ...]:
+    """Every Hubbard term orbit of a layout, NN and NNN, built on first use.
 
-
-def enumerate_hamiltonian_terms(
-    spec: HamiltonianSpec, layout: UnitCellLayout
-) -> list[TermDescriptor]:
-    """Distinct logical-term descriptors for the model on this layout.
-
-    Hoppings are enumerated per anchored mode and signed direction (the two
-    signs are Hermitian-conjugate mirrors with identical weights); one
-    on-site term per site hosted by the cell.
+    Per mode, one hop orbit per canonical direction (the values of
+    ``EDGE_DIRECTIONS``, NNN for the diagonals), named for the hop and for
+    its mirror, the negated direction: the mirror's words are
+    Hermitian-conjugate translates with the same weights.  The hop from the
+    central mode instance j to k has the words V(k)·P and V(j)·P, where the
+    path P is the direction's edge when the layout has that edge kind, else
+    the L-path, horizontal leg first (the two L-paths differ by a plaquette
+    stabilizer); P and each endpoint vertex are separate parts.  Then the
+    on-site orbits: mixed cells host both spins of one site, so their one
+    term is V(0)·V(1); every other scheme pairs each mode with its disjoint
+    opposite-spin copy, one term of two copies of V per mode.
     """
-    terms = []
+    orbits = []
+
+    def vertex_part(v: Vertex) -> tuple[Instance, ...]:
+        return (_instance(layout, FermionGeneratorId(GeneratorKind.VERTEX, v.mode), v.cell),)
+
     for mode in range(layout.modes_per_cell):
-        for d in NN_DIRECTIONS:
-            terms.append(
-                TermDescriptor(
-                    f"hop:{_DIRECTION_NAMES[d]}:m{mode}", "hopping", mode, d
-                )
+        j = Vertex(CENTER, mode)
+        for kind, (dx, dy) in EDGE_DIRECTIONS.items():
+            k = step(layout, j, (dx, dy))
+            if kind in edge_kinds(layout):
+                path = (_instance(layout, FermionGeneratorId(kind, mode), CENTER),)
+            else:
+                mid = step(layout, j, (dx, 0))
+                path = (_edge_instance(layout, j, mid), _edge_instance(layout, mid, k))
+            names = tuple(
+                f"hop:{_DIRECTION_NAMES[d]}:m{mode}" for d in ((dx, dy), (-dx, -dy))
             )
-    for mode in _onsite_modes(layout):
-        terms.append(TermDescriptor(f"onsite:m{mode}", "onsite", mode))
-    if spec.t_prime != 0.0:
+            words = ((path, vertex_part(k)), (path, vertex_part(j)))
+            orbits.append(TermOrbit(names, "hopping", bool(dx and dy), words))
+    if layout.scheme is Scheme.MIXED:
+        word = tuple(vertex_part(Vertex(CENTER, mode)) for mode in (0, 1))
+        orbits.append(TermOrbit(("onsite:m0",), "onsite", False, (word,)))
+    else:
         for mode in range(layout.modes_per_cell):
-            for d in NNN_DIRECTIONS:
-                terms.append(
-                    TermDescriptor(
-                        f"hop:{_DIRECTION_NAMES[d]}:m{mode}", "hopping", mode, d, nnn=True
-                    )
-                )
-    return terms
+            word = (vertex_part(Vertex(CENTER, mode)),)
+            orbits.append(TermOrbit((f"onsite:m{mode}",), "onsite", False, (word,), 2))
+    return tuple(orbits)
 
 
-def hop_instances(
-    layout: UnitCellLayout, mode: int, direction: tuple[int, int]
-) -> tuple[list[tuple[FermionGeneratorId, tuple[int, int]]], Vertex, Vertex]:
-    """Edge instances of the hop from the central mode instance in a canonical
-    direction (a value of ``EDGE_DIRECTIONS``), and the hop's two endpoints.
+def term_masks(
+    orbit: TermOrbit, masks: list[tuple[int, int]], qubits_per_cell: int
+) -> list[tuple[int, int]]:
+    """(x, z) masks of each word of a term orbit, given every generator's
+    masks in ``generator_ids`` order (an assigned prefix suffices when it
+    holds every generator the orbit multiplies)."""
+    out = []
+    for word in orbit.words:
+        x = z = 0
+        for part in word:
+            px, pz = _product_masks(part, masks, qubits_per_cell)
+            x ^= px
+            z ^= pz
+        out.append((x, z))
+    return out
 
-    A direction with no edge kind on the layout takes the L-path, horizontal
-    leg first (the two L-paths differ by a plaquette stabilizer).
+
+def hopping_weight(
+    orbit: TermOrbit, masks: list[tuple[int, int]], qubits_per_cell: int
+) -> int:
+    """Weight of a term orbit, hop or on-site: the one routine that measures
+    term weights, on raw masks.
+
+    The largest Pauli weight among the orbit's words (for a hop, the max
+    over its Hermitian pair), times its copies.
     """
-    v0 = Vertex(CENTER, mode)
-    w = step(layout, v0, direction)
-    kind = _KIND_BY_DIRECTION.get(direction)
-    if kind in edge_kinds(layout):
-        return [(FermionGeneratorId(kind, mode), v0.cell)], v0, w
-    mid = step(layout, v0, (direction[0], 0))
-    return [_edge_instance(layout, v0, mid), _edge_instance(layout, mid, w)], v0, w
+    words = term_masks(orbit, masks, qubits_per_cell)
+    return orbit.copies * max((x | z).bit_count() for x, z in words)
 
 
 def hopping_pair(
     enc: "EncodingCandidate", mode: int, direction: tuple[int, int]
 ) -> tuple[PauliWord, PauliWord]:
-    """The two hopping Pauli words for a site direction.
+    """The two hopping Pauli words for a site direction, as ``PauliWord``s.
 
-    A mirrored direction is the negated canonical one, whose words are
-    taken; the edge path and each endpoint vertex are anchored separately.
+    A mirrored direction shares the canonical one's orbit and words.
     """
-    if direction not in _KIND_BY_DIRECTION:
-        direction = (-direction[0], -direction[1])
-    instances, j, k = hop_instances(enc.layout, mode, direction)
-    image = _product_of_instances(enc, instances)
-    return multiply(vertex_image(enc, k), image), multiply(vertex_image(enc, j), image)
-
-
-def hopping_weight(
-    enc: "EncodingCandidate", mode: int, direction: tuple[int, int]
-) -> int:
-    """Max Pauli weight of the two hopping terms in a signed direction.
-
-    Mirrored directions are Hermitian-conjugate translates of the canonical
-    one and share its weights, so only canonical directions are expanded.
-    """
-    a, b = hopping_pair(enc, mode, direction)
-    return max(weight(a), weight(b))
-
-
-def onsite_pauli_term(
-    enc: "EncodingCandidate", cell: tuple[int, int] = CENTER, mode: int = 0
-) -> PauliWord:
-    """The dominant on-site density-density word V_up * V_down for one site.
-
-    For mixed layouts both spin vertices live in the window and the product
-    is taken directly.  For the other schemes the opposite spin occupies a
-    disjoint duplicate of the grid, so the word is returned on a doubled
-    register (copy A in slots [0, n), copy B in [n, 2n)) when it fits.
-    """
+    name = f"hop:{_DIRECTION_NAMES[direction]}:m{mode}"
     layout = enc.layout
-    if layout.scheme is Scheme.MIXED:
-        v_up = vertex_image(enc, Vertex(cell, 0))
-        v_down = vertex_image(enc, Vertex(cell, 1))
-        return multiply(v_up, v_down)
-    n = layout.n_slots
-    if 2 * n > 64:
-        raise ValueError(
-            "on-site word for duplicated-grid schemes needs a doubled register; "
-            f"2 * {n} slots exceed the packing"
-        )
-    v = vertex_image(enc, Vertex(cell, mode))
-    return PauliWord(v.x_mask | v.x_mask << n, v.z_mask | v.z_mask << n, 2 * n)
-
-
-def onsite_weight(enc: "EncodingCandidate", mode: int = 0) -> int:
-    """Pauli weight of the on-site term for a site hosted at ``mode``."""
-    layout = enc.layout
-    if layout.scheme is Scheme.MIXED:
-        return weight(onsite_pauli_term(enc))
-    return 2 * weight(vertex_image(enc, Vertex(CENTER, mode)))
+    orbit = next(o for o in term_orbits(layout) if name in o.names)
+    a, b = term_masks(orbit, generator_masks(enc), layout.qubits_per_cell)
+    return PauliWord(*a, layout.n_slots), PauliWord(*b, layout.n_slots)

@@ -19,10 +19,12 @@ is tried for the next generator when it passes:
 Survivors then face, in order, windowed commutation against their own
 translates (read from pairs of their slots on one local: a window word's
 translate by s meets it only at such pairs s cells apart), the hopping
-caps and the stochastic gate.  The capped hops (NN, plus NNN under
-``nn+nnn``) are planned once per run: each is checked at the level that
-assigns the last of its edges and endpoint vertices, so a level that
-completes no hop skips the check.
+caps and the stochastic gate.  The capped hops (the NN hop orbits of
+``fermion.term_orbits``, plus the NNN ones under ``nn+nnn``) are planned
+once per run: each orbit is checked at the level that assigns the last
+generator its words multiply, so a level that completes no hop skips the
+check.  The check measures the orbit on the assigned prefix's raw masks
+plus the candidate's, and builds no ``PauliWord`` or encoding.
 
 The words that pass the static checks form the level's universe, built
 once per run and indexed in enumeration order: by weight, then
@@ -68,7 +70,6 @@ from .encoding import (
     validate,
 )
 from .fermion import (
-    FermionGeneratorId,
     GeneratorKind,
     HamiltonianSpec,
     PathError,
@@ -372,19 +373,13 @@ class _SearchContext:
         self.required = req = required_parity_table(layout)
         self.self_required = [sum(b << s for s, b in enumerate(r[i])) for i, r in enumerate(req)]
 
-        # Canonical directions only: a mirrored hop shares their weights.
-        level_of = {gen: gi for gi, gen in enumerate(self.gen_order)}
+        # Each capped hop orbit sits at the level of its last generator.
         cap_nnn = cfg.hopping_cap_mode is HoppingCapMode.NN_AND_NNN
-        self.hop_checks: list[list[tuple[int, tuple[int, int]]]] = [[] for _ in self.gen_order]
-        for mode in range(layout.modes_per_cell):
-            for d in fermion.EDGE_DIRECTIONS.values():
-                if d in fermion.NNN_DIRECTIONS and not cap_nnn:
-                    continue
-                instances, j, k = fermion.hop_instances(layout, mode, d)
-                needed = [gen for gen, _ in instances] + [
-                    FermionGeneratorId(GeneratorKind.VERTEX, v.mode) for v in (j, k)
-                ]
-                self.hop_checks[max(level_of[gen] for gen in needed)].append((mode, d))
+        self.hop_checks: list[list[fermion.TermOrbit]] = [[] for _ in self.gen_order]
+        for orbit in fermion.term_orbits(layout):
+            if orbit.kind == "hopping" and (cap_nnn or not orbit.nnn):
+                level = max(gi for word in orbit.words for part in word for gi, _ in part)
+                self.hop_checks[level].append(orbit)
 
         # Mutable search state: the assigned prefix, each level's domain and
         # the letters introduced per local, with one undo entry per level.
@@ -452,28 +447,26 @@ class _SearchContext:
         self.assigned.pop()
         self.domains, self.intro = self._undo.pop()
 
-    def _partial_encoding(self, extra: tuple[int, tuple[int, int]] | None) -> EncodingCandidate:
-        gens: dict[FermionGeneratorId, PauliWord] = {}
-        for idx, (x, z) in enumerate(self.assigned):
-            gens[self.gen_order[idx]] = PauliWord(x, z, self.n)
-        if extra is not None:
-            gi, (x, z) = extra
-            gens[self.gen_order[gi]] = PauliWord(x, z, self.n)
+    def _partial_encoding(self) -> EncodingCandidate:
+        gens = {
+            self.gen_order[idx]: PauliWord(x, z, self.n)
+            for idx, (x, z) in enumerate(self.assigned)
+        }
         return EncodingCandidate(self.layout, gens)
 
     def hop_caps_ok(self, gi: int, x: int, z: int) -> bool:
         """Cap the hops in ``hop_checks[gi]``: those whose last edge or
-        endpoint vertex is level ``gi``'s generator.  A level with no such
-        hop passes without building a partial encoding."""
+        endpoint vertex is level ``gi``'s generator.  Their words are built
+        from the assigned prefix's masks plus this word's."""
         checks = self.hop_checks[gi]
         if not checks:
             return True
-        enc = self._partial_encoding((gi, (x, z)))
+        masks = self.assigned + [(x, z)]
         cap = self.cfg.max_edge_or_hopping_weight
         min_w = self.cfg.min_logical_weight_filter
-        for mode, d in checks:
+        for orbit in checks:
             try:
-                w = fermion.hopping_weight(enc, mode, d)
+                w = fermion.hopping_weight(orbit, masks, self.qpc)
             except PathError:
                 continue  # not representable yet; completion re-checks
             if w > cap:
@@ -495,9 +488,12 @@ def _passes_completion_filters(
         for gen, word in enc.generators.items():
             if gen.kind is GeneratorKind.VERTEX and weight(word) > vertex_cap:
                 return False
-    capped_nnn = cfg.hopping_cap_mode is HoppingCapMode.NN_AND_NNN
-    terms = fermion.enumerate_hamiltonian_terms(HamiltonianSpec(t_prime=1.0), enc.layout)
-    uncapped = {term.name for term in terms if term.nnn and not capped_nnn}
+    uncapped = set()
+    if cfg.hopping_cap_mode is not HoppingCapMode.NN_AND_NNN:
+        uncapped = {
+            name for orbit in fermion.term_orbits(enc.layout) if orbit.nnn
+            for name in orbit.names
+        }
     relevant: list[int] = []
     for name, w in metrics.term_weights:
         if name in uncapped:
@@ -601,7 +597,7 @@ def brute_force_search(
             ctx.assign(x, z)
             if gi + 1 == n_levels:
                 report.completions += 1
-                enc = ctx._partial_encoding(None)
+                enc = ctx._partial_encoding()
                 _complete(cfg, enc, w_max, report, front, sink, completion_sink)
             elif not dfs(gi + 1, rng):
                 return False

@@ -14,7 +14,10 @@ where ``fqec.encoding.validate`` translates raw masks once per generator
 and reads a cached table.  ``naive_self_commutation_ok`` builds every
 clipped translate of one word and asks the Majorana algebra for each
 parity, where ``_SearchContext.self_commutation_ok`` reads pairs of the
-word's own slots and builds no translate.
+word's own slots and builds no translate.  ``naive_term_weights`` and
+``naive_term_words`` measure the Hubbard terms name by name on
+``PauliWord`` products, mirrors included, where ``fermion.term_orbits``
+lists each orbit once and ``fermion.term_masks`` multiplies raw masks.
 """
 
 from __future__ import annotations
@@ -28,12 +31,19 @@ from fqec import lattice
 from fqec.distance import DistanceResult
 from fqec.encoding import EncodingCandidate, Violation
 from fqec.fermion import (
+    EDGE_DIRECTIONS,
+    FermionGeneratorId,
     GeneratorKind,
+    PathError,
+    Vertex,
+    edge_kinds,
     edge_vertex_required_parity,
     far_cell_offset,
     generator_ids,
+    step,
 )
-from fqec.symplectic import PauliWord, commute_parity
+from fqec.lattice import CENTER, Scheme
+from fqec.symplectic import PauliWord, commute_parity, multiply, weight
 
 
 # ---------------------------------------------------------------------------
@@ -348,3 +358,151 @@ def greedy_thickness(g) -> int:
         remaining = deferred
         layers += 1
     return layers
+
+
+# ---------------------------------------------------------------------------
+# Hubbard terms on PauliWord products, one term name at a time
+
+
+def _naive_instance_image(enc, gen, anchor):
+    """Pauli image of the generator instance anchored at window cell ``anchor``.
+
+    ``None`` when the translated image does not fit the window.
+    """
+    word = enc.generators.get(gen)
+    if word is None:
+        raise KeyError(f"generator {gen.name} is not assigned")
+    shift = (anchor[0] - CENTER[0], anchor[1] - CENTER[1])
+    if max(abs(shift[0]), abs(shift[1])) > lattice.SHIFT_RANGE:
+        return None
+    return lattice.translate_word(word, shift, enc.layout)
+
+
+def _naive_edge_instance(layout, v, w):
+    """The edge generator orbit and anchor joining two mode instances."""
+    for kind in edge_kinds(layout):
+        if step(layout, v, EDGE_DIRECTIONS[kind]) == w:
+            return FermionGeneratorId(kind, v.mode), v.cell
+        if step(layout, w, EDGE_DIRECTIONS[kind]) == v:
+            return FermionGeneratorId(kind, w.mode), w.cell
+    raise PathError(f"no defined edge between {v} and {w}")
+
+
+_NAIVE_REANCHOR_ORDER = tuple(
+    sorted(lattice.ALL_SHIFTS, key=lambda s: (max(abs(s[0]), abs(s[1])), s))
+)
+
+
+def _naive_product_of_instances(enc, instances):
+    """Product of generator instances, re-anchored together if needed to fit.
+
+    Anchors are shifted by a common offset (identity first) until every
+    constituent image fits the window; the product is translation-equivalent
+    to the requested one.
+    """
+    layout = enc.layout
+    for dx, dy in _NAIVE_REANCHOR_ORDER:
+        words = []
+        for gen, (ax, ay) in instances:
+            img = _naive_instance_image(enc, gen, (ax + dx, ay + dy))
+            if img is None:
+                break
+            words.append(img)
+        else:
+            out = PauliWord.identity(layout.n_slots)
+            for word in words:
+                out = multiply(out, word)
+            return out
+    raise PathError("product of edge instances does not fit the window at any anchor")
+
+
+def _naive_vertex_image(enc, vertex):
+    """Pauli image of a mode instance's vertex generator, re-anchored to fit."""
+    gen = FermionGeneratorId(GeneratorKind.VERTEX, vertex.mode)
+    return _naive_product_of_instances(enc, [(gen, vertex.cell)])
+
+
+_NAIVE_KIND_BY_DIRECTION = {d: kind for kind, d in EDGE_DIRECTIONS.items()}
+_NAIVE_NN = ((1, 0), (-1, 0), (0, 1), (0, -1))
+_NAIVE_NNN = ((1, 1), (-1, -1), (-1, 1), (1, -1))
+_NAIVE_DIRECTION_NAMES = {
+    (1, 0): "+x", (-1, 0): "-x", (0, 1): "+y", (0, -1): "-y",
+    (1, 1): "+ur", (-1, -1): "-ur", (-1, 1): "+ul", (1, -1): "-ul",
+}
+
+
+def naive_hopping_pair(enc, mode, direction):
+    """The two hopping Pauli words for a site direction.
+
+    A mirrored direction is the negated canonical one, whose words are
+    taken; the edge path and each endpoint vertex are anchored separately.
+    """
+    layout = enc.layout
+    if direction not in _NAIVE_KIND_BY_DIRECTION:
+        direction = (-direction[0], -direction[1])
+    v0 = Vertex(CENTER, mode)
+    w = step(layout, v0, direction)
+    kind = _NAIVE_KIND_BY_DIRECTION.get(direction)
+    if kind in edge_kinds(layout):
+        instances = [(FermionGeneratorId(kind, mode), v0.cell)]
+    else:
+        mid = step(layout, v0, (direction[0], 0))
+        instances = [_naive_edge_instance(layout, v0, mid), _naive_edge_instance(layout, mid, w)]
+    image = _naive_product_of_instances(enc, instances)
+    return (
+        multiply(_naive_vertex_image(enc, w), image),
+        multiply(_naive_vertex_image(enc, v0), image),
+    )
+
+
+def _naive_onsite_modes(layout):
+    # Mixed cells host both spins of one site; every other scheme pairs each
+    # in-window mode with its disjoint opposite-spin copy, one term per mode.
+    if layout.scheme is Scheme.MIXED:
+        return (0,)
+    return tuple(range(layout.modes_per_cell))
+
+
+def _naive_onsite_word(enc, mode):
+    """The on-site word: V_up * V_down in a mixed cell, else the vertex word
+    that each of the two disjoint spin copies carries."""
+    if enc.layout.scheme is Scheme.MIXED:
+        v_up = _naive_vertex_image(enc, Vertex(CENTER, 0))
+        v_down = _naive_vertex_image(enc, Vertex(CENTER, 1))
+        return multiply(v_up, v_down)
+    return _naive_vertex_image(enc, Vertex(CENTER, mode))
+
+
+def naive_term_weights(enc) -> dict[str, tuple[bool, int]]:
+    """Every Hubbard term name mapped to (is NNN, weight), each name measured
+    on its own: a hop's weight is the max over its two words, mirrors
+    included; an on-site term weighs V_up * V_down in a mixed cell, else
+    twice its vertex (the two disjoint spin copies)."""
+    layout = enc.layout
+    out = {}
+    for mode in range(layout.modes_per_cell):
+        for nnn, directions in ((False, _NAIVE_NN), (True, _NAIVE_NNN)):
+            for d in directions:
+                pair = naive_hopping_pair(enc, mode, d)
+                out[f"hop:{_NAIVE_DIRECTION_NAMES[d]}:m{mode}"] = (
+                    nnn, max(weight(word) for word in pair)
+                )
+    copies = 1 if layout.scheme is Scheme.MIXED else 2
+    for mode in _naive_onsite_modes(layout):
+        out[f"onsite:m{mode}"] = (False, copies * weight(_naive_onsite_word(enc, mode)))
+    return out
+
+
+def naive_term_words(enc, t_prime: float) -> set[tuple[int, int]]:
+    """(x, z) masks of the connectivity graph's term words: both words of
+    each canonical hop (NNN hops only when ``t_prime`` is nonzero) and each
+    on-site word, identity words dropped."""
+    layout = enc.layout
+    directions = _NAIVE_NN + (_NAIVE_NNN if t_prime != 0.0 else ())
+    words = []
+    for mode in range(layout.modes_per_cell):
+        for d in directions:
+            if d in _NAIVE_KIND_BY_DIRECTION:  # a mirror is a translate
+                words.extend(naive_hopping_pair(enc, mode, d))
+    words.extend(_naive_onsite_word(enc, mode) for mode in _naive_onsite_modes(layout))
+    return {(w.x_mask, w.z_mask) for w in words if not w.is_identity()}

@@ -347,6 +347,13 @@ class TestGraphCommand:
 
 
 class TestExportCommand:
+    def test_format_flag_rejected(self, tmp_path, capsys):
+        # The CSV was export's only format, so export takes no --format.
+        out = tmp_path / "front.csv"
+        assert main(["export", D2_DOC, "--output", str(out), "--format", "csv"]) == 1
+        assert "unrecognized arguments" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("value", ["1,nan,4", "1,inf,4"])
     def test_non_finite_hamiltonian_flag(self, tmp_path, capsys, value):
         out = tmp_path / "front.csv"

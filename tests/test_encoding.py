@@ -4,6 +4,8 @@ import itertools
 import random
 from fractions import Fraction
 
+import pytest
+
 from conftest import (
     jw_like,
     load_fixture,
@@ -15,13 +17,19 @@ from fqec.encoding import (
     EncodingCandidate,
     compute_metrics,
     derive_stabilizers,
-    term_weight_map,
     validate,
 )
-from fqec.fermion import FermionGeneratorId, GeneratorKind, HamiltonianSpec
+from fqec.fermion import (
+    FermionGeneratorId,
+    GeneratorKind,
+    HamiltonianSpec,
+    generator_masks,
+    term_masks,
+    term_orbits,
+)
 from fqec.lattice import ALL_SHIFTS, EdgeSet, Scheme, UnitCellLayout, translate_word
 from fqec.search_clifford import CliffordConfig, apply_clifford, sample_gate_set
-from fqec.symplectic import commute_parity, weight
+from fqec.symplectic import PauliWord, commute_parity, weight
 from oracles import naive_validate, translate_word_clipped
 
 NN2 = UnitCellLayout(2, Scheme.TWO_GRIDS, EdgeSet.NN_SQUARE)
@@ -149,11 +157,10 @@ class TestMetrics:
         m = compute_metrics(vc_encoding, HamiltonianSpec(), 3)
         assert m.key() == (2, 8, Fraction(16, 5), Fraction(40, 9))
 
-    def test_term_weight_map_kinds(self, vc_encoding):
-        weights = term_weight_map(vc_encoding)
-        kinds = {kind for kind, _, _ in weights.values()}
-        assert kinds == {"hopping", "onsite"}
-        nnn = [name for name, (_, is_nnn, _) in weights.items() if is_nnn]
+    def test_term_orbit_kinds(self, vc_encoding):
+        orbits = term_orbits(vc_encoding.layout)
+        assert {orbit.kind for orbit in orbits} == {"hopping", "onsite"}
+        nnn = [name for orbit in orbits if orbit.nnn for name in orbit.names]
         assert sorted(nnn) == ["hop:+ul:m0", "hop:+ur:m0", "hop:-ul:m0", "hop:-ur:m0"]
 
     def test_canonical_key_stable(self, vc_encoding):
@@ -164,16 +171,66 @@ class TestMetrics:
     def test_onsite_word_commutes_with_stabilizers(self):
         # Mixed scheme keeps the on-site word inside the window, so the
         # stabilizer commutation can be checked directly.
-        from fqec.fermion import onsite_pauli_term
-
         layout = UnitCellLayout(4, Scheme.MIXED, EdgeSet.NN_SQUARE)
         enc = vc_like(layout)
         stabs = derive_stabilizers(enc)
-        onsite = onsite_pauli_term(enc)
+        (orbit,) = [o for o in term_orbits(layout) if o.kind == "onsite"]
+        ((x, z),) = term_masks(orbit, generator_masks(enc), layout.qubits_per_cell)
+        onsite = PauliWord(x, z, layout.n_slots)
         for stab in stabs:
             for shift in ALL_SHIFTS:
                 moved = translate_word_clipped(stab, shift, layout)
                 assert commute_parity(onsite, moved) == 0
+
+
+def _pins(modes, x, y, ur, ul, onsites):
+    """Term name -> weight for ``modes`` modes whose hops weigh x, y, ur and
+    ul along each axis, both signs alike; ``onsites`` lists the on-site
+    weights by mode."""
+    pins = {
+        f"hop:{sign}{axis}:m{mode}": w
+        for mode in range(modes)
+        for axis, w in (("x", x), ("y", y), ("ur", ur), ("ul", ul))
+        for sign in "+-"
+    }
+    pins.update({f"onsite:m{mode}": w for mode, w in enumerate(onsites)})
+    return pins
+
+
+class TestPinnedTermWeights:
+    """Fresh measurements against stored metrics blocks and pinned weights."""
+
+    @pytest.mark.parametrize("name", ["d1_nn_square", "d2_nn_square"])
+    def test_fixture_metrics_block_reproduced(self, name):
+        stored = load_fixture(f"{name}.json")
+        fresh = EncodingCandidate(stored.layout, dict(stored.generators))
+        assert stored.metrics is not None
+        assert compute_metrics(fresh, HamiltonianSpec(), 3) == stored.metrics
+
+    @pytest.mark.parametrize(
+        "name, pins",
+        [
+            ("nnn_rank4", _pins(1, 3, 3, 12, 8, [4])),
+            ("triangular_rank2", _pins(1, 3, 3, 12, 6, [4])),
+        ],
+    )
+    def test_fixture_term_weights(self, name, pins):
+        enc = load_fixture(f"{name}.json")
+        assert enc.metrics is None
+        assert dict(compute_metrics(enc, HamiltonianSpec(), 1).term_weights) == pins
+
+    @pytest.mark.parametrize(
+        "scheme, pins",
+        [
+            (Scheme.MIXED, _pins(2, 3, 3, 6, 6, [4])),
+            (Scheme.DOUBLED_H, _pins(2, 3, 3, 6, 6, [4, 4])),
+            (Scheme.DOUBLED_OFFSET, _pins(2, 3, 3, 6, 6, [4, 4])),
+        ],
+        ids=["mixed", "doubled-h", "doubled-offset"],
+    )
+    def test_vc_like_term_weights(self, scheme, pins):
+        enc = vc_like(UnitCellLayout(4, scheme, EdgeSet.NN_SQUARE))
+        assert dict(compute_metrics(enc, HamiltonianSpec(), 1).term_weights) == pins
 
 
 class TestValidateMatchesOracle:

@@ -1,11 +1,19 @@
 """Majorana algebra, generator geometry and Hubbard-term images."""
 
 import random
+from fractions import Fraction
 
 import pytest
 
-from conftest import jw_like
-from fqec.encoding import derive_stabilizers
+from conftest import (
+    jw_like,
+    load_fixture,
+    random_sound_deformation,
+    vc_like,
+    vc_with_composite_diagonals,
+)
+from fqec.connectivity import _term_words
+from fqec.encoding import compute_metrics, derive_stabilizers
 from fqec.fermion import (
     EDGE_DIRECTIONS,
     FermionGeneratorId,
@@ -18,17 +26,17 @@ from fqec.fermion import (
     composite_edge,
     edge_endpoints,
     edge_vertex_required_parity,
-    enumerate_hamiltonian_terms,
     generator_id_from_name,
     generator_ids,
+    generator_masks,
     hopping_pair,
     hopping_weight,
     loop_stabilizer,
     majorana_commute_parity,
-    onsite_pauli_term,
-    onsite_weight,
     site_of,
     step,
+    term_masks,
+    term_orbits,
     vertex_at,
 )
 from fqec.lattice import (
@@ -38,10 +46,38 @@ from fqec.lattice import (
     Scheme,
     UnitCellLayout,
 )
-from fqec.symplectic import commute_parity, multiply, weight
-from oracles import translate_word_clipped
+from fqec.symplectic import PauliWord, commute_parity, multiply, weight
+from oracles import (
+    naive_hopping_pair,
+    naive_term_weights,
+    naive_term_words,
+    translate_word_clipped,
+)
 
 NN2 = UnitCellLayout(2, Scheme.TWO_GRIDS, EdgeSet.NN_SQUARE)
+FIXTURES = ("d1_nn_square", "d2_nn_square", "nnn_rank4", "triangular_rank2")
+
+
+def orbit_of(layout, name):
+    """The term orbit that names ``name``."""
+    (orbit,) = [o for o in term_orbits(layout) if name in o.names]
+    return orbit
+
+
+def term_weight(enc, name):
+    layout = enc.layout
+    return hopping_weight(orbit_of(layout, name), generator_masks(enc), layout.qubits_per_cell)
+
+
+def term_words(enc, name):
+    layout = enc.layout
+    masks = term_masks(orbit_of(layout, name), generator_masks(enc), layout.qubits_per_cell)
+    return [PauliWord(x, z, layout.n_slots) for x, z in masks]
+
+
+def term_names(layout, nnn=True):
+    """Every term name of the layout, the NNN hops only when ``nnn``."""
+    return [name for o in term_orbits(layout) if nnn or not o.nnn for name in o.names]
 
 
 class TestMajoranaWords:
@@ -285,37 +321,35 @@ class TestHoppingTerms:
         enc = jw_like(UnitCellLayout(1, Scheme.TWO_GRIDS, EdgeSet.NN_SQUARE))
         terms = hopping_pair(enc, 0, EDGE_DIRECTIONS[GeneratorKind.EDGE_RIGHT])
         assert {weight(t) for t in terms} == {2}
-        assert hopping_weight(enc, 0, (1, 0)) == 2
+        assert term_weight(enc, "hop:+x:m0") == 2
 
     def test_mirrored_directions_share_weight(self, vc_encoding):
-        assert hopping_weight(vc_encoding, 0, (1, 0)) == hopping_weight(
-            vc_encoding, 0, (-1, 0)
-        )
-        assert hopping_weight(vc_encoding, 0, (0, 1)) == hopping_weight(
-            vc_encoding, 0, (0, -1)
-        )
+        assert term_weight(vc_encoding, "hop:+x:m0") == term_weight(vc_encoding, "hop:-x:m0")
+        assert term_weight(vc_encoding, "hop:+y:m0") == term_weight(vc_encoding, "hop:-y:m0")
+        assert hopping_pair(vc_encoding, 0, (-1, 0)) == hopping_pair(vc_encoding, 0, (1, 0))
 
     def test_composite_diagonal_weight(self, vc_encoding):
         # nn-square layout: diagonal hop goes through the two-edge L path.
-        w_ur = hopping_weight(vc_encoding, 0, (1, 1))
+        w_ur = term_weight(vc_encoding, "hop:+ur:m0")
         assert w_ur >= 1
 
 
 class TestOnsiteTerms:
-    def test_two_grids_disjoint_product(self, vc_encoding):
-        word = onsite_pauli_term(vc_encoding)
-        n = NN2.n_slots
-        assert word.n_slots == 2 * n
+    def test_two_grids_weight_doubles_the_vertex(self, vc_encoding):
+        # The opposite spin lives on the disjoint duplicate grid: the word is
+        # the vertex on each copy, so it weighs 2 wt(v).
+        (word,) = term_words(vc_encoding, "onsite:m0")
         v = vc_encoding.generators[FermionGeneratorId(GeneratorKind.VERTEX, 0)]
-        assert weight(word) == 2 * weight(v)
-        assert onsite_weight(vc_encoding) == 2 * weight(v)
+        assert word == v
+        assert orbit_of(NN2, "onsite:m0").copies == 2
+        assert term_weight(vc_encoding, "onsite:m0") == 2 * weight(v)
 
     def test_mixed_product_in_window(self):
         enc = jw_like(UnitCellLayout(2, Scheme.MIXED, EdgeSet.NN_SQUARE))
-        word = onsite_pauli_term(enc)
+        (word,) = term_words(enc, "onsite:m0")
         assert word.n_slots == enc.layout.n_slots
         assert weight(word) == 2  # two single-Z vertices on distinct locals
-        assert onsite_weight(enc) == 2
+        assert term_weight(enc, "onsite:m0") == 2
 
     def test_weight_matches_xor_arithmetic(self):
         enc = jw_like(UnitCellLayout(2, Scheme.MIXED, EdgeSet.NN_SQUARE))
@@ -326,15 +360,15 @@ class TestOnsiteTerms:
             for slot in range(enc.layout.n_slots)
             if v0.letter(slot) == v1.letter(slot) != "I"
         )
-        assert onsite_weight(enc) == weight(v0) + weight(v1) - 2 * overlap_identity
+        assert term_weight(enc, "onsite:m0") == weight(v0) + weight(v1) - 2 * overlap_identity
 
 
 class TestTermEnumeration:
     def test_nn_counts(self):
-        assert len(enumerate_hamiltonian_terms(HamiltonianSpec(t_prime=0.0), NN2)) == 5
+        assert len(term_names(NN2, nnn=False)) == 5
 
     def test_nnn_counts(self):
-        assert len(enumerate_hamiltonian_terms(HamiltonianSpec(t_prime=0.3), NN2)) == 9
+        assert len(term_names(NN2)) == 9
 
     def test_doubled_counts_by_orbit_oracle(self):
         # Oracle: count distinct (anchor mode, signed direction) hop orbits
@@ -344,16 +378,74 @@ class TestTermEnumeration:
         onsites = 2
         expected = hops + onsites
         assert expected == 10
-        assert len(enumerate_hamiltonian_terms(HamiltonianSpec(), layout)) == 10
+        assert len(term_names(layout, nnn=False)) == 10
 
     def test_mixed_counts(self):
         layout = UnitCellLayout(2, Scheme.MIXED, EdgeSet.NN_SQUARE)
-        assert len(enumerate_hamiltonian_terms(HamiltonianSpec(), layout)) == 9
-        assert len(enumerate_hamiltonian_terms(HamiltonianSpec(t_prime=1.0), layout)) == 17
+        assert len(term_names(layout, nnn=False)) == 9
+        assert len(term_names(layout)) == 17
 
     def test_descriptor_names_unique(self):
         for scheme in Scheme:
-            layout = UnitCellLayout(2, scheme, EdgeSet.NN_SQUARE)
-            terms = enumerate_hamiltonian_terms(HamiltonianSpec(t_prime=1.0), layout)
-            names = [t.name for t in terms]
+            names = term_names(UnitCellLayout(2, scheme, EdgeSet.NN_SQUARE))
             assert len(names) == len(set(names))
+
+
+def _jw_layouts():
+    return [
+        UnitCellLayout(qpc, scheme, edge_set)
+        for scheme in Scheme
+        for edge_set in EdgeSet
+        for qpc in (1, 2, 3)
+        if qpc >= UnitCellLayout(2, scheme, edge_set).modes_per_cell
+    ]
+
+
+def _layout_id(layout):
+    return f"{layout.scheme.value}-{layout.edge_set.value}-{layout.qubits_per_cell}"
+
+
+class TestTermsMatchOracle:
+    """Every term weight and graph term word against ``oracles``, which
+    measures each name on its own on ``PauliWord`` products."""
+
+    @staticmethod
+    def assert_same(enc):
+        want = naive_term_weights(enc)
+        got = compute_metrics(enc, HamiltonianSpec(), 1)
+        assert dict(got.term_weights) == {name: w for name, (_, w) in want.items()}
+        nn = [w for is_nnn, w in want.values() if not is_nnn]
+        assert got.sigma_nn == Fraction(sum(nn), len(nn))
+        nnn_names = {name for name, (is_nnn, _) in want.items() if is_nnn}
+        assert set(term_names(enc.layout)) - set(term_names(enc.layout, nnn=False)) == nnn_names
+        for t_prime in (0.0, 1.0):
+            words = _term_words(enc, HamiltonianSpec(t_prime=t_prime))
+            assert len(words) == len(set(words))
+            assert set(words) == naive_term_words(enc, t_prime)
+
+    @pytest.mark.parametrize("name", FIXTURES)
+    def test_fixtures(self, name):
+        enc = load_fixture(f"{name}.json")
+        self.assert_same(enc)
+        for d in ((1, 0), (-1, 0), (0, 1), (0, -1), (1, 1), (-1, -1), (-1, 1), (1, -1)):
+            assert hopping_pair(enc, 0, d) == naive_hopping_pair(enc, 0, d)
+
+    @pytest.mark.parametrize("layout", _jw_layouts(), ids=_layout_id)
+    def test_jw_like(self, layout):
+        self.assert_same(jw_like(layout))
+
+    @pytest.mark.parametrize("scheme", list(Scheme), ids=lambda s: s.value)
+    def test_vc_like(self, scheme):
+        qpc = 2 if scheme is Scheme.TWO_GRIDS else 4
+        self.assert_same(vc_like(UnitCellLayout(qpc, scheme, EdgeSet.NN_SQUARE)))
+
+    @pytest.mark.parametrize("edge_set", [EdgeSet.TRIANGULAR, EdgeSet.NNN_SQUARE])
+    def test_vc_with_composite_diagonals(self, edge_set):
+        self.assert_same(vc_with_composite_diagonals(edge_set))
+
+    def test_sound_deformations(self):
+        rng = random.Random(13)
+        bases = [load_fixture(f"{name}.json") for name in FIXTURES]
+        for i in range(200):
+            enc = random_sound_deformation(bases[i % 4], rng, n_gates=rng.randint(1, 5))
+            self.assert_same(enc)
