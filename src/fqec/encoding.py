@@ -6,8 +6,10 @@ invariant commutation condition on the finite window: for every generator
 pair and every cell shift within +-2 per axis, the symplectic parity of the
 Pauli images (the shifted one clipped to the window, which is exact for
 in-window supports) must equal the parity demanded by the Majorana algebra.
-The check works on raw ``(x, z)`` masks: each generator is translated once
-per shift, and every pair reads its required parities from
+The check works on raw ``(x, z)`` masks and builds no translate: a clipped
+translate meets a window word only at slot pairs on one local whose cells
+differ by the shift, so each pair's parities at every shift are read from
+those slot pairs as one bitmask and compared with its required mask from
 ``fermion.required_parity_table``.
 """
 
@@ -15,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import lru_cache
 
 from . import fermion, lattice
 from .distance import DistanceBudget, DistanceResult, min_distance
@@ -104,10 +107,22 @@ class EncodingCandidate:
 
 def _cell_mask(layout: UnitCellLayout, cell: tuple[int, int]) -> int:
     """Bit mask of the window slots of one cell."""
-    mask = 0
-    for local in range(layout.qubits_per_cell):
-        mask |= 1 << lattice.slot_of(cell, local, layout)
-    return mask
+    return sum(1 << lattice.slot_of(cell, i, layout) for i in range(layout.qubits_per_cell))
+
+
+@lru_cache(maxsize=None)
+def _anchoring_plan(layout: UnitCellLayout) -> tuple[tuple[FermionGeneratorId, tuple], ...]:
+    """Per generator in ``generator_ids`` order: the (cell mask, message if
+    missed) of each cell its support must touch."""
+    plan = []
+    for gen in generator_ids(layout):
+        cells = ((_cell_mask(layout, CENTER), "support misses the central cell"),)
+        if gen.kind is not GeneratorKind.VERTEX:
+            (dx, dy), (cx, cy) = far_cell_offset(layout, gen), CENTER
+            far = (cx + dx, cy + dy)
+            cells += ((_cell_mask(layout, far), f"support misses far endpoint cell {far}"),)
+        plan.append((gen, cells))
+    return tuple(plan)
 
 
 def validate(enc: EncodingCandidate) -> list[Violation]:
@@ -116,51 +131,36 @@ def validate(enc: EncodingCandidate) -> list[Violation]:
     Every shift in the +-2 box is checked for every unordered generator
     pair (including self pairs): restricting to shifts with overlapping
     Pauli supports would miss pairs whose algebra demands anticommutation
-    while their images are disjoint.  Each present generator's raw masks are
-    translated once per shift, and each parity is a bit count on ints; the
-    violations come in pair order (``generator_ids``, ``i <= j``), then
-    ``ALL_SHIFTS`` order.
+    while their images are disjoint.  A pair's parities at all 25 shifts
+    come as one bitmask from its same-local slot pairs
+    (``lattice.pair_parities``), with no translate built, and only the bits
+    where it differs from the required mask become violations.  They come in
+    pair order (``generator_ids``, ``i <= j``), then ``ALL_SHIFTS`` order.
     """
     layout = enc.layout
     violations: list[Violation] = []
-    ids = generator_ids(layout)
     present = []
-    for i, gen in enumerate(ids):
+    for i, (gen, cells) in enumerate(_anchoring_plan(layout)):
         word = enc.generators.get(gen)
         if word is None:
             violations.append(Violation("missing-generator", gen.name))
             continue
-        present.append((i, gen, word.x_mask, word.z_mask))
-        if not word.support & _cell_mask(layout, CENTER):
-            violations.append(
-                Violation("anchoring", gen.name, "support misses the central cell")
-            )
-        if gen.kind is not GeneratorKind.VERTEX:
-            off = far_cell_offset(layout, gen)
-            far = (CENTER[0] + off[0], CENTER[1] + off[1])
-            if not word.support & _cell_mask(layout, far):
-                violations.append(
-                    Violation(
-                        "anchoring", gen.name, f"support misses far endpoint cell {far}"
-                    )
-                )
+        present.append((i, gen.name, word.x_mask, word.z_mask))
+        support = word.x_mask | word.z_mask
+        for mask, missed in cells:
+            if not support & mask:
+                violations.append(Violation("anchoring", gen.name, missed))
 
-    required = required_parity_table(layout)
-    moved = [
-        lattice.clipped_translates(x, z, layout.qubits_per_cell) for _, _, x, z in present
-    ]
-    for a, (i, gen_a, xa, za) in enumerate(present):
-        for (j, gen_b, _, _), translates in zip(present[a:], moved[a:]):
+    required, qpc = required_parity_table(layout), layout.qubits_per_cell
+    for a, (i, name_a, xa, za) in enumerate(present):
+        for j, name_b, xb, zb in present[a:]:
             want = required[i][j]
-            for s, (tx, tz) in enumerate(translates):
-                got = ((xa & tz).bit_count() + (za & tx).bit_count()) & 1
-                if got != want[s]:
-                    violations.append(
-                        Violation(
-                            "commutation", gen_a.name, gen_b.name, lattice.ALL_SHIFTS[s],
-                            want[s], got,
-                        )
-                    )
+            wrong = lattice.pair_parities(xa, za, xb, zb, qpc) ^ want
+            while wrong:
+                s = (wrong & -wrong).bit_length() - 1
+                wrong &= wrong - 1
+                bit, shift = want >> s & 1, lattice.ALL_SHIFTS[s]
+                violations.append(Violation("commutation", name_a, name_b, shift, bit, bit ^ 1))
     return violations
 
 

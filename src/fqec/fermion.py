@@ -240,18 +240,16 @@ def edge_vertex_required_parity(
 
 
 @lru_cache(maxsize=None)
-def required_parity_table(
-    layout: UnitCellLayout,
-) -> tuple[tuple[tuple[int, ...], ...], ...]:
-    """Required parities by index: ``table[i][j][s]`` is the parity of
-    generator ``i`` against generator ``j`` shifted by ``ALL_SHIFTS[s]``,
-    with generators in ``generator_ids`` order."""
+def required_parity_table(layout: UnitCellLayout) -> tuple[tuple[int, ...], ...]:
+    """Required parities by index: bit ``s`` of ``table[i][j]`` is the
+    parity of generator ``i`` against generator ``j`` shifted by
+    ``ALL_SHIFTS[s]``, with generators in ``generator_ids`` order."""
     ids = generator_ids(layout)
     return tuple(
         tuple(
-            tuple(
-                edge_vertex_required_parity(layout, a, (0, 0), b, shift)
-                for shift in lattice.ALL_SHIFTS
+            sum(
+                edge_vertex_required_parity(layout, a, (0, 0), b, shift) << s
+                for s, shift in enumerate(lattice.ALL_SHIFTS)
             )
             for b in ids
         )

@@ -5,7 +5,10 @@ numbered in a snake pattern: row 0 runs left to right, odd rows are
 reversed, and slots within a cell are consecutive.  Translating a word by a
 cell shift remaps every supported slot; a shift that would push support off
 the window yields ``None`` (the shift is representable, the word is not).
-Commutation checks use clipped translates instead, which drop those slots.
+Commutation checks use clipped translates instead, which drop those slots;
+as a clipped translate by ``s`` meets a window word only at same-local slot
+pairs ``s`` cells apart, ``pair_parities`` reads two words' parities at
+every shift from those pairs without building a translate.
 
 The window is the finite-shift equivalent of a translationally invariant
 description: two replicated operators can only interact at relative cell
@@ -203,25 +206,59 @@ def clipped_translates(x: int, z: int, qubits_per_cell: int) -> list[tuple[int, 
 
 
 @lru_cache(maxsize=None)
-def _pair_shift_bits(qubits_per_cell: int) -> tuple[tuple[int, ...], ...]:
-    """``table[p][q]``: the ``ALL_SHIFTS`` index bits of ``cell(p) - cell(q)``
-    and of its negation for distinct slots on one local, else 0."""
+def _local_masks(qubits_per_cell: int) -> tuple[int, ...]:
+    """Window slot mask of each cell-local index."""
+    cells, qpc = range(WINDOW * WINDOW), qubits_per_cell
+    return tuple(sum(1 << i * qpc + local for i in cells) for local in range(qpc))
+
+
+@lru_cache(maxsize=None)
+def _pair_shifts(qubits_per_cell: int) -> tuple[tuple[int, ...], ...]:
+    """``table[p][q]``: the ``ALL_SHIFTS`` index bit of ``cell(p) - cell(q)``
+    for slots on one local (``p == q`` gives shift (0, 0)), else 0."""
     index, cells = {shift: i for i, shift in enumerate(ALL_SHIFTS)}, _cells_by_index()
     n = qubits_per_cell * len(cells)
     rows = [[0] * n for _ in range(n)]
     for p in range(n):
-        for q in range(p % qubits_per_cell, p, qubits_per_cell):
-            (xp, yp), (xq, yq) = cells[p // qubits_per_cell], cells[q // qubits_per_cell]
-            bits = 1 << index[(xp - xq, yp - yq)] | 1 << index[(xq - xp, yq - yp)]
-            rows[p][q] = rows[q][p] = bits
+        xp, yp = cells[p // qubits_per_cell]
+        for q in range(p % qubits_per_cell, n, qubits_per_cell):
+            xq, yq = cells[q // qubits_per_cell]
+            rows[p][q] = 1 << index[(xp - xq, yp - yq)]
     return tuple(map(tuple, rows))
 
 
+@lru_cache(maxsize=None)
+def _pair_shift_bits(qubits_per_cell: int) -> tuple[tuple[int, ...], ...]:
+    """``_pair_shifts`` made symmetric, with zeros on the diagonal."""
+    d, n = _pair_shifts(qubits_per_cell), qubits_per_cell * WINDOW * WINDOW
+    return tuple(tuple(d[p][q] | d[q][p] if p != q else 0 for q in range(n)) for p in range(n))
+
+
+def pair_parities(xa: int, za: int, xb: int, zb: int, qubits_per_cell: int) -> int:
+    """Bitmask over ``ALL_SHIFTS`` indices: bit ``s`` is the parity of word a
+    against word b's clipped translate by ``ALL_SHIFTS[s]``, which meets a
+    only at slot pairs (p in a, q in b) on one local with ``cell(p) -
+    cell(q) == s``; each pair whose letters anticommute flips ``s``."""
+    table, local_masks = _pair_shifts(qubits_per_cell), _local_masks(qubits_per_cell)
+    out, m = 0, xa | za
+    while m:
+        p = (m & -m).bit_length() - 1
+        m &= m - 1
+        # b's slots on p's local whose letters anticommute with a's at p
+        partners = (zb if xa >> p & 1 else 0) ^ (xb if za >> p & 1 else 0)
+        partners &= local_masks[p % qubits_per_cell]
+        row = table[p]
+        while partners:
+            q = partners & -partners
+            out ^= row[q.bit_length() - 1]
+            partners ^= q
+    return out
+
+
 def self_parities(x: int, z: int, qubits_per_cell: int) -> int:
-    """Bitmask over ``ALL_SHIFTS`` indices of a window word's parities against
-    its own clipped translates.  The translate by ``s`` meets the word only at
-    pairs of its slots on one local ``s`` cells apart (clipped slots meet
-    nothing), and each pair whose letters anticommute flips ``s`` and ``-s``."""
+    """``pair_parities(x, z, x, z)`` over unordered slot pairs: a slot meets
+    itself with commuting letters, and each pair of distinct same-local
+    slots whose letters anticommute flips ``s`` and ``-s``."""
     table, out, seen, m = _pair_shift_bits(qubits_per_cell), 0, [], x | z
     while m:
         p = (m & -m).bit_length() - 1

@@ -370,8 +370,7 @@ class _SearchContext:
                 cap = cfg.max_edge_or_hopping_weight
             self.universes.append(_Universe(layout, masks, cap))
 
-        self.required = req = required_parity_table(layout)
-        self.self_required = [sum(b << s for s, b in enumerate(r[i])) for i, r in enumerate(req)]
+        self.required = required_parity_table(layout)
 
         # Each capped hop orbit sits at the level of its last generator.
         cap_nnn = cfg.hopping_cap_mode is HoppingCapMode.NN_AND_NNN
@@ -413,7 +412,7 @@ class _SearchContext:
     def self_commutation_ok(self, gi: int, x: int, z: int) -> bool:
         """Windowed parities against its own clipped translates, read from its
         same-local slot pairs (clipped slots never meet a window word)."""
-        return lattice.self_parities(x, z, self.qpc) == self.self_required[gi]
+        return lattice.self_parities(x, z, self.qpc) == self.required[gi][gi]
 
     def assign(self, x: int, z: int) -> None:
         """Append a word to the prefix: filter every later domain by its
@@ -424,8 +423,8 @@ class _SearchContext:
         translates = lattice.clipped_translates(x, z, self.qpc)
         for li in range(gi + 1, len(self.universes)):
             universe = self.universes[li]
-            domain = domains[li]
-            for (tx, tz), parity in zip(translates, self.required[li][gi]):
+            domain, required = domains[li], self.required[li][gi]
+            for s, (tx, tz) in enumerate(translates):
                 if not domain:
                     break
                 anti = 0
@@ -433,7 +432,7 @@ class _SearchContext:
                     anti ^= universe.x_bits[slot]
                 for slot in _slots(tx):
                     anti ^= universe.z_bits[slot]
-                domain = domain & anti if parity else domain & ~anti
+                domain = domain & anti if required >> s & 1 else domain & ~anti
             domains[li] = domain
         intro = self.intro[:]
         for slot in _slots(x | z):

@@ -14,12 +14,15 @@ images:
   flagged); with equal locals no translation-invariant Clifford exists at
   all, so deformed candidates are re-validated and rejected when broken.
 
+Each gate has one implementation, a routine on a word's raw ``(x, z)``
+masks (``_gate_masks``); ``apply_clifford`` maps it over an encoding.
 Sequences are walked length by length, each length as one depth-first
-walk over the gate pool that keeps the prefix images on a stack: every
-sequence applies one gate to the image of its prefix, and the sequences of
-a length come in ``itertools.permutations`` order.  Each distinct generator
-map goes through the brute-force search's completion pipeline once, before
-which sequences are deduplicated by the map they reach: validation, one
+walk over the gate pool that keeps the prefix images, one mask pair per
+generator, on a stack: every sequence applies one gate to the image of its
+prefix, and the sequences of a length come in ``itertools.permutations``
+order.  Each distinct generator map becomes an encoding candidate and goes
+through the brute-force search's completion pipeline once, before which
+sequences are deduplicated by the masks they reach: validation, one
 metrics pass, the filters and the Pareto front.  Every emitted encoding
 therefore re-validates.
 """
@@ -120,78 +123,45 @@ class CliffordConfig:
 
 
 @lru_cache(maxsize=None)
-def _perm_matrix(perm: tuple[str, str, str]) -> tuple[int, int, int, int]:
-    """F2 matrix (mxx, mxz, mzx, mzz) of a letter permutation on (x, z) bits."""
-    xa, za = LETTER_BITS[perm[0]]  # image of X
-    xb, zb = LETTER_BITS[perm[2]]  # image of Z
-    return xa, xb, za, zb
+def _gate_masks(qpc: int, g: CliffordGateOp) -> Callable[[int, int], tuple[int, int, bool]]:
+    """The replicated gate on one word's raw masks: ``(x, z) -> (x', z',
+    clipped)``, where ``clipped`` marks a cross-cell CNOT translate cut off
+    at the window boundary.  ``g`` must have passed ``_check_gate``."""
+    if isinstance(g, SingleQubitGate):
+        mask = lattice._local_masks(qpc)[g.local]
+        (xx, zx), (xz, zz) = LETTER_BITS[g.perm[0]], LETTER_BITS[g.perm[2]]  # X and Z images
 
+        def single(x: int, z: int) -> tuple[int, int, bool]:
+            xt, zt = x & mask, z & mask
+            nxt = (xt if xx else 0) ^ (zt if xz else 0)
+            nzt = (xt if zx else 0) ^ (zt if zz else 0)
+            return (x & ~mask) | nxt, (z & ~mask) | nzt, False
 
-@lru_cache(maxsize=None)
-def _local_mask(qpc: int, local: int) -> int:
-    mask = 0
-    for idx in range(lattice.WINDOW * lattice.WINDOW):
-        mask |= 1 << (idx * qpc + local)
-    return mask
+        return single
 
+    # In-window (control slot, target slot) pairs; a control slot whose
+    # partner leaves the window loses its X propagation, a target slot
+    # without a partner its Z propagation.
+    (rx, ry), cl, tl = g.relative_offset, g.control[1], g.target[1]
+    pairs, lost_x, lost_z, inside = [], 0, 0, range(lattice.WINDOW)
+    for idx, (x, y) in enumerate(lattice._cells_by_index()):
+        if x + rx in inside and y + ry in inside:
+            pairs.append((idx * qpc + cl, lattice.cell_index((x + rx, y + ry)) * qpc + tl))
+        else:
+            lost_x |= 1 << idx * qpc + cl
+        if x - rx not in inside or y - ry not in inside:
+            lost_z |= 1 << idx * qpc + tl
 
-@lru_cache(maxsize=None)
-def _cnot_pairs(
-    qpc: int, rel: tuple[int, int], control_local: int, target_local: int
-) -> tuple[tuple[tuple[int, int], ...], tuple[int, ...], tuple[int, ...]]:
-    """In-window (control slot, target slot) pairs plus clipped-side slots.
+    def cnot(x: int, z: int) -> tuple[int, int, bool]:
+        nx, nz = x, z
+        for cs, ts in pairs:
+            if x >> cs & 1:
+                nx ^= 1 << ts
+            if z >> ts & 1:
+                nz ^= 1 << cs
+        return nx, nz, bool(x & lost_x or z & lost_z)
 
-    Returns (pairs, lost_control_slots, lost_target_slots): control slots
-    whose partner falls outside the window lose their X propagation, target
-    slots without a partner lose their Z propagation.
-    """
-    pairs = []
-    lost_control = []
-    lost_target = []
-    for y in range(lattice.WINDOW):
-        for x in range(lattice.WINDOW):
-            u = (x, y)
-            v = (x + rel[0], y + rel[1])
-            cs = lattice.cell_index(u) * qpc + control_local
-            if 0 <= v[0] < lattice.WINDOW and 0 <= v[1] < lattice.WINDOW:
-                pairs.append((cs, lattice.cell_index(v) * qpc + target_local))
-            else:
-                lost_control.append(cs)
-            w = (x - rel[0], y - rel[1])
-            if not (0 <= w[0] < lattice.WINDOW and 0 <= w[1] < lattice.WINDOW):
-                lost_target.append(lattice.cell_index(u) * qpc + target_local)
-    return tuple(pairs), tuple(lost_control), tuple(lost_target)
-
-
-def _apply_single(word: PauliWord, gate: SingleQubitGate, layout: UnitCellLayout) -> PauliWord:
-    mask = _local_mask(layout.qubits_per_cell, gate.local)
-    mxx, mxz, mzx, mzz = _perm_matrix(gate.perm)
-    xt, zt = word.x_mask & mask, word.z_mask & mask
-    nxt = (xt if mxx else 0) ^ (zt if mxz else 0)
-    nzt = (xt if mzx else 0) ^ (zt if mzz else 0)
-    return PauliWord(
-        (word.x_mask & ~mask) | nxt, (word.z_mask & ~mask) | nzt, word.n_slots
-    )
-
-
-def _apply_cnot(
-    word: PauliWord, gate: CnotGate, layout: UnitCellLayout
-) -> tuple[PauliWord, bool]:
-    rel = gate.relative_offset
-    pairs, lost_control, lost_target = _cnot_pairs(
-        layout.qubits_per_cell, rel, gate.control[1], gate.target[1]
-    )
-    x, z = word.x_mask, word.z_mask
-    nx, nz = x, z
-    for cs, ts in pairs:
-        if (x >> cs) & 1:
-            nx ^= 1 << ts
-        if (z >> ts) & 1:
-            nz ^= 1 << cs
-    clipped = any((x >> cs) & 1 for cs in lost_control) or any(
-        (z >> ts) & 1 for ts in lost_target
-    )
-    return PauliWord(nx, nz, word.n_slots), clipped
+    return cnot
 
 
 def _check_gate(layout: UnitCellLayout, g: CliffordGateOp) -> None:
@@ -224,15 +194,10 @@ def apply_clifford(
     """
     layout = enc.layout
     _check_gate(layout, g)
-    clipped = False
-    new_gens = {}
-    for gen, word in enc.generators.items():
-        if isinstance(g, SingleQubitGate):
-            new_gens[gen] = _apply_single(word, g, layout)
-        else:
-            new_word, word_clipped = _apply_cnot(word, g, layout)
-            new_gens[gen] = new_word
-            clipped = clipped or word_clipped
+    act = _gate_masks(layout.qubits_per_cell, g)
+    images = {gen: act(word.x_mask, word.z_mask) for gen, word in enc.generators.items()}
+    new_gens = {gen: PauliWord(x, z, layout.n_slots) for gen, (x, z, _) in images.items()}
+    clipped = any(c for _, _, c in images.values())
     return replace(enc, generators=new_gens, stabilizer_generators=None, metrics=None), clipped
 
 
@@ -284,26 +249,35 @@ def sample_gate_set(cfg: CliffordConfig) -> list[CliffordGateOp]:
 
 
 def _gate_sequences(base: EncodingCandidate, gates: list[CliffordGateOp], max_len: int):
-    """Yield ``(sequence, image, clipped)`` for every ordered selection of
+    """Yield ``(sequence, masks, clipped)`` for every ordered selection of
     distinct gates, by length and then in ``itertools.permutations`` order.
 
-    Each length is one depth-first walk that keeps the prefix images on the
-    stack, so a sequence costs one gate application on its prefix's image.
-    Lengths beyond the pool are empty and not walked.
+    ``masks`` holds one ``(x, z)`` pair per generator, in the order of
+    ``base.generators``.  Every gate is checked once and turned into its
+    mask routine (``_gate_masks``) before the walk.  Each length is one
+    depth-first walk that keeps the prefix images on the stack, so a
+    sequence costs one gate application on its prefix's image.  Lengths
+    beyond the pool are empty and not walked.
     """
+    for g in gates:
+        _check_gate(base.layout, g)
+    acts = [_gate_masks(base.layout.qubits_per_cell, g) for g in gates]
     n = len(gates)
 
-    def walk(seq, enc, clipped, depth):
+    def walk(seq, masks, clipped, depth):
         if not depth:
-            yield seq, enc, clipped
+            yield seq, masks, clipped
             return
         for i in range(n):
             if i not in seq:
-                child, gate_clipped = apply_clifford(enc, gates[i])
-                yield from walk(seq + (i,), child, clipped or gate_clipped, depth - 1)
+                images = [acts[i](x, z) for x, z in masks]
+                child = tuple((x, z) for x, z, _ in images)
+                child_clipped = clipped or any(c for _, _, c in images)
+                yield from walk(seq + (i,), child, child_clipped, depth - 1)
 
+    start = tuple((word.x_mask, word.z_mask) for word in base.generators.values())
     for k in range(min(max_len, n) + 1):
-        yield from walk((), base, False, k)
+        yield from walk((), start, False, k)
 
 
 def clifford_deform_search(
@@ -318,11 +292,14 @@ def clifford_deform_search(
 
     Sequences are ordered selections without repetition up to the configured
     length, walked in the calling thread by one prefix walk per length
-    (``_gate_sequences``): each sequence's image is its prefix's image with
-    one more gate applied, never a replay from the base.  The first sequence
-    to reach a generator map sends it through ``search_bruteforce._complete``,
+    (``_gate_sequences``) on raw ``(x, z)`` masks: each sequence's image is
+    its prefix's image with one more gate applied, never a replay from the
+    base.  The first sequence to reach a generator map (its masks)
+    builds the one ``EncodingCandidate`` of that map, generators in the
+    base's order, and sends it through ``search_bruteforce._complete``,
     measured with the budget ``max(cfg.min_distance_filter, final_w_max)``;
-    later sequences that reach the map add to the counter of its outcome.
+    later sequences that reach the map only add to the counter of its
+    outcome.
     ``sink`` receives each accepted encoding plus a provenance dict naming
     the gate sequence.  ``threads`` remains as a keyword that takes only 1
     (``bench/worker.py`` passes it); any other value raises ValueError.
@@ -333,22 +310,27 @@ def clifford_deform_search(
         raise ValueError("base encoding does not validate")
     gates = sample_gate_set(cfg)
     w_max = max(cfg.min_distance_filter, final_w_max or 0)
-    n = cfg.base.layout.n_slots
+    layout, gens = cfg.base.layout, tuple(cfg.base.generators)
+    n = layout.n_slots
     report = SearchReport()
     front = front if front is not None else ParetoFront()
     # Outcome label of every generator map reached so far: validation, the
-    # metrics and the filters depend on the map alone.
+    # metrics and the filters depend on the map alone.  The key packs the
+    # masks into one int, a tenth of the memory of the tuple.
     outcomes: dict[int, str] = {}
     raw = _gate_sequences(cfg.base, gates, cfg.max_sequence_length)
     budget = cfg.sequence_budget
     sequences = raw if budget is None else itertools.islice(raw, budget)
-    for seq, enc, clipped in sequences:
+    for seq, masks, clipped in sequences:
         report.nodes += 1
-        key = 0  # each word's x and z masks in one int, smaller than canonical_key()
-        for word in enc.generators.values():
-            key = (key << 2 * n) | (word.x_mask << n) | word.z_mask
+        key = 0
+        for x, z in masks:
+            key = (key << 2 * n) | (x << n) | z
         outcome = outcomes.get(key)
         if outcome is None:
+            enc = EncodingCandidate(
+                layout, {gen: PauliWord(x, z, n) for gen, (x, z) in zip(gens, masks)}
+            )
             provenance = {
                 "clifford_sequence": [gates[i].describe() for i in seq],
                 "clipped": clipped,

@@ -10,14 +10,18 @@ from the rules in the ``fqec.search_bruteforce`` docstring.
 ``fqec.connectivity.thickness_upper_bound`` skips the tests whose answer is
 known.  ``naive_validate`` translates one ``PauliWord`` per generator pair
 and shift, slot by slot, and asks the Majorana algebra for each parity,
-where ``fqec.encoding.validate`` translates raw masks once per generator
-and reads a cached table.  ``naive_self_commutation_ok`` builds every
-clipped translate of one word and asks the Majorana algebra for each
-parity, where ``_SearchContext.self_commutation_ok`` reads pairs of the
-word's own slots and builds no translate.  ``naive_term_weights`` and
+where ``fqec.encoding.validate`` reads each pair's parities from its
+same-local slot pairs and compares them with a cached table.
+``naive_self_commutation_ok`` builds every clipped translate of one word
+and asks the Majorana algebra for each parity, where
+``_SearchContext.self_commutation_ok`` reads pairs of the word's own slots
+and builds no translate.  ``naive_term_weights`` and
 ``naive_term_words`` measure the Hubbard terms name by name on
 ``PauliWord`` products, mirrors included, where ``fermion.term_orbits``
 lists each orbit once and ``fermion.term_masks`` multiplies raw masks.
+``apply_gate_letters`` applies a replicated Clifford gate letter by letter
+and reads clipping from cell coordinates, where ``search_clifford`` works on
+raw masks with per-gate slot tables.
 """
 
 from __future__ import annotations
@@ -43,6 +47,7 @@ from fqec.fermion import (
     step,
 )
 from fqec.lattice import CENTER, Scheme
+from fqec.search_clifford import SingleQubitGate
 from fqec.symplectic import PauliWord, commute_parity, multiply, weight
 
 
@@ -254,6 +259,62 @@ def naive_self_commutation_ok(layout, gen, word: PauliWord) -> bool:
         commute_parity(word, translate_word_clipped(word, shift, layout)) == want
         for shift, want in zip(lattice.ALL_SHIFTS, _self_required(layout, gen))
     )
+
+
+# ---------------------------------------------------------------------------
+# Replicated Clifford gates, one letter at a time
+
+
+def _letter_times(a: str, b: str) -> str:
+    """Phase-blind product of two letters."""
+    if a == "I":
+        return b
+    if b == "I":
+        return a
+    if a == b:
+        return "I"
+    return ({"X", "Y", "Z"} - {a, b}).pop()
+
+
+def apply_gate_letters(word: PauliWord, gate, layout) -> tuple[PauliWord, bool]:
+    """Phase-blind image of ``word`` under a gate replicated in every cell,
+    and whether a CNOT translate was cut off at the window boundary.
+
+    A single-qubit gate replaces each letter on its local by the letter's
+    image.  A CNOT acts on every translate of its (control, target) pair at
+    once, reading the letters before the gate: an X part on a control slot
+    multiplies the target slot by X, a Z part on a target slot multiplies
+    the control slot by Z.  Such a part whose partner cell lies outside the
+    window is lost, and the image is clipped.
+    """
+    letters = [word.letter(slot) for slot in range(word.n_slots)]
+    out = list(letters)
+    clipped = False
+    if isinstance(gate, SingleQubitGate):
+        for slot, letter in enumerate(letters):
+            if letter != "I" and lattice.cell_of(slot, layout)[1] == gate.local:
+                out[slot] = gate.perm["XYZ".index(letter)]
+    else:
+        ((cx, cy), c_local), ((tx, ty), t_local) = gate.control, gate.target
+        dx, dy = tx - cx, ty - cy
+        for slot, letter in enumerate(letters):
+            (x, y), local = lattice.cell_of(slot, layout)
+            moves = []  # (partner cell, partner local, letter to multiply in)
+            if local == c_local and letter in ("X", "Y"):
+                moves.append(((x + dx, y + dy), t_local, "X"))
+            if local == t_local and letter in ("Z", "Y"):
+                moves.append(((x - dx, y - dy), c_local, "Z"))
+            for cell, partner_local, factor in moves:
+                if 0 <= cell[0] < lattice.WINDOW and 0 <= cell[1] < lattice.WINDOW:
+                    partner = lattice.slot_of(cell, partner_local, layout)
+                    out[partner] = _letter_times(out[partner], factor)
+                else:
+                    clipped = True
+    image = PauliWord.identity(word.n_slots)
+    for slot, letter in enumerate(out):
+        if letter != "I":
+            image = image.with_letter(slot, letter)
+    return image, clipped
 
 
 # ---------------------------------------------------------------------------

@@ -2,9 +2,12 @@
 
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
+import fqec
 from conftest import DATA_DIR
 from fqec.cli import main, parse_config_file
 
@@ -372,3 +375,40 @@ class TestExportCommand:
         lines = open(out).read().splitlines()
         assert lines[0] == "distance,max_stab_weight,sigma_nn,sigma_nnn,qubit_ratio,max_degree,thickness_ub"
         assert len(lines) == 4
+
+
+class TestFreshProcesses:
+    """The CLI in fresh interpreters with different string hash seeds: no
+    output may depend on the iteration order of a str-keyed set or dict."""
+
+    @staticmethod
+    def run_cli(tmp_path, command, cfg, hash_seed):
+        out = tmp_path / f"{command}{hash_seed}.jsonl"
+        front = tmp_path / f"{command}{hash_seed}.front.jsonl"
+        src = os.path.dirname(os.path.dirname(os.path.abspath(fqec.__file__)))
+        env = dict(os.environ, PYTHONHASHSEED=str(hash_seed))
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "fqec.cli", command, cfg, "--output", str(out),
+             "--front-output", str(front), "--w-max", "3"],
+            env=env, capture_output=True, check=False,
+        )
+        return proc.returncode, proc.stdout, out.read_bytes(), front.read_bytes()
+
+    @pytest.mark.parametrize("command", ["deform", "search"])
+    def test_outputs_do_not_depend_on_the_hash_seed(self, tmp_path, command):
+        if command == "deform":
+            cfg = write(
+                tmp_path, "deform.cfg",
+                f"base = {D2_DOC}\nsingles-per-qubit = 3\ncnot-pairs = 1\n"
+                "max-sequence-length = 2\nseed = 5\nmin-distance = 1\n",
+            )
+            code = 0
+        else:
+            cfg = write(tmp_path, "search.cfg", SEARCH_CONFIG)
+            code = 2  # the node budget cuts the run
+        runs = [self.run_cli(tmp_path, command, cfg, seed) for seed in (0, 1)]
+        assert runs[0] == runs[1]
+        assert runs[0][0] == code
+        assert runs[0][2] and runs[0][3]  # something streamed and a front
+        assert json.loads(runs[0][1])["report"]["nodes"] > 0

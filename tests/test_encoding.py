@@ -264,13 +264,11 @@ class TestValidateMatchesOracle:
         assert any(v.kind == "anchoring" for v in violations)
         assert any(v.kind == "commutation" for v in violations)
 
-    def test_every_map_of_a_deform_run(self, d2_encoding):
-        # The deform config of test_one_pipeline_pass_per_distinct_map: its
-        # 821 sequences reach 332 distinct maps, 196 of them invalid.
-        cfg = CliffordConfig(
-            base=d2_encoding, n_single_qubit_samples=3, n_cnot_pairs=1,
-            max_sequence_length=3, rng_seed=5,
-        )
+    @staticmethod
+    def deform_maps(base, **fields):
+        """Every distinct map of a deform run, replayed gate by gate from the
+        base with ``apply_clifford``."""
+        cfg = CliffordConfig(base=base, **fields)
         gates = sample_gate_set(cfg)
         maps = {}
         for k in range(cfg.max_sequence_length + 1):
@@ -279,5 +277,44 @@ class TestValidateMatchesOracle:
                 for gate in seq:
                     enc, _ = apply_clifford(enc, gate)
                 maps.setdefault(enc.canonical_key(), enc)
-        invalid = sum(1 for enc in maps.values() if self.assert_same(enc))
-        assert (invalid, len(maps)) == (196, 332)
+        return list(maps.values())
+
+    def invalid_and_distinct(self, maps):
+        return sum(1 for enc in maps if self.assert_same(enc)), len(maps)
+
+    def test_every_map_of_a_deform_run(self, d2_encoding):
+        # The deform config of test_one_pipeline_pass_per_distinct_map: its
+        # 821 sequences reach 332 distinct maps, 196 of them invalid.
+        maps = self.deform_maps(
+            d2_encoding, n_single_qubit_samples=3, n_cnot_pairs=1,
+            max_sequence_length=3, rng_seed=5,
+        )
+        assert self.invalid_and_distinct(maps) == (196, 332)
+
+    @pytest.mark.parametrize(
+        "name, counts", [("nnn_rank4.json", (123, 154)), ("triangular_rank2.json", (85, 116))]
+    )
+    def test_every_map_of_a_deform_run_with_diagonal_edges(self, name, counts):
+        maps = self.deform_maps(
+            load_fixture(name), n_single_qubit_samples=2, n_cnot_pairs=2,
+            max_sequence_length=2, rng_seed=3,
+        )
+        assert self.invalid_and_distinct(maps) == counts
+
+    @pytest.mark.parametrize(
+        "scheme, counts",
+        [
+            (Scheme.TWO_GRIDS, (3, 9)),
+            (Scheme.MIXED, (3, 20)),
+            (Scheme.DOUBLED_H, (3, 20)),
+            (Scheme.DOUBLED_OFFSET, (6, 22)),
+        ],
+    )
+    def test_every_map_of_a_vc_like_deform_run(self, scheme, counts):
+        # Two qubits per cell on two-grids, four on the two-mode schemes.
+        layout = UnitCellLayout(2 if scheme is Scheme.TWO_GRIDS else 4, scheme, EdgeSet.NN_SQUARE)
+        maps = self.deform_maps(
+            vc_like(layout), n_single_qubit_samples=1, n_cnot_pairs=2,
+            max_sequence_length=1, rng_seed=4,
+        )
+        assert self.invalid_and_distinct(maps) == counts

@@ -1,5 +1,6 @@
 """Window slot map, translations and shift enumeration."""
 
+import itertools
 import random
 
 import pytest
@@ -16,11 +17,13 @@ from fqec.lattice import (
     cell_of,
     clipped_translates,
     edge_set_from_name,
+    pair_parities,
     scheme_from_name,
+    self_parities,
     slot_of,
     translate_word,
 )
-from fqec.symplectic import PauliWord, weight
+from fqec.symplectic import PauliWord, commute_parity, weight
 from oracles import translate_word_clipped
 
 
@@ -149,6 +152,96 @@ class TestPairShiftBits:
                     assert (bits >> s & 1) == (bits >> negated[s] & 1), (p, q, shift)
                 assert bits.bit_count() == 2
                 assert table[q][p] == bits
+
+
+def oracle_parities(a, b, layout):
+    """Bit ``s``: the parity of ``a`` against ``b`` clipped-translated by
+    ``ALL_SHIFTS[s]``, one translate at a time."""
+    return sum(
+        commute_parity(a, translate_word_clipped(b, shift, layout)) << s
+        for s, shift in enumerate(ALL_SHIFTS)
+    )
+
+
+class TestPairParities:
+    """``pair_parities`` against ``oracles.translate_word_clipped``, which
+    shares no pair or shift table with it."""
+
+    @staticmethod
+    def check(a, b, layout):
+        got = pair_parities(a.x_mask, a.z_mask, b.x_mask, b.z_mask, layout.qubits_per_cell)
+        assert got == oracle_parities(a, b, layout), (a, b)
+        return got
+
+    @staticmethod
+    def random_word(rng, layout):
+        n = layout.n_slots
+        if rng.random() < 0.5:
+            return PauliWord(rng.getrandbits(n), rng.getrandbits(n), n)
+        word = PauliWord.identity(n)
+        for slot in rng.sample(range(n), rng.randint(1, 4)):
+            word = word.with_letter(slot, rng.choice("XYZ"))
+        return word
+
+    @pytest.mark.parametrize("qpc", [1, 2, 3, 4])
+    def test_random_pairs(self, qpc):
+        layout = UnitCellLayout(qpc, Scheme.TWO_GRIDS, EdgeSet.NN_SQUARE)
+        rng = random.Random(30 + qpc)
+        nonzero = 0
+        for _ in range(60):
+            a, b = self.random_word(rng, layout), self.random_word(rng, layout)
+            nonzero += bool(self.check(a, b, layout))
+        assert nonzero > 20
+
+    def test_corner_and_edge_words_clip(self):
+        # Each b spans opposite window cells, so every shift along its span
+        # (24 for a diagonal, 22 for the middle row or column) pushes part of it out
+        # of the window; a sits on one corner or edge cell, or the centre.
+        layout = UnitCellLayout(2, Scheme.TWO_GRIDS, EdgeSet.NN_SQUARE)
+        spans = [((0, 0), (2, 2)), ((2, 0), (0, 2)), ((0, 1), (2, 1)), ((1, 0), (1, 2))]
+        for far_a, far_b in spans:
+            for la, lb in itertools.product("XYZ", repeat=2):
+                b = (
+                    PauliWord.identity(layout.n_slots)
+                    .with_letter(slot_of(far_a, 0, layout), lb)
+                    .with_letter(slot_of(far_b, 1, layout), "X")
+                )
+                clipping = sum(translate_word(b, shift, layout) is None for shift in ALL_SHIFTS)
+                assert clipping == (24 if far_a[0] != far_b[0] and far_a[1] != far_b[1] else 22)
+                for cell in (far_a, far_b, (1, 1)):
+                    for local in (0, 1):
+                        a = PauliWord.single(la, slot_of(cell, local, layout), layout.n_slots)
+                        self.check(a, b, layout)
+
+    def test_pairs_meeting_only_at_one_slot(self):
+        # Anticommuting letters on one shared slot, every other slot of the
+        # two words on different locals: only shift (0, 0) flips.
+        layout = UnitCellLayout(3, Scheme.TWO_GRIDS, EdgeSet.NN_SQUARE)
+        n = layout.n_slots
+        zero = 1 << ALL_SHIFTS.index((0, 0))
+        for cell in [(0, 0), (1, 1), (2, 1)]:
+            shared = slot_of(cell, 0, layout)
+            a = PauliWord.single("X", shared, n).with_letter(slot_of((2, 2), 1, layout), "Y")
+            b = PauliWord.single("Z", shared, n).with_letter(slot_of((0, 2), 2, layout), "X")
+            assert self.check(a, b, layout) == zero
+            assert self.check(b, a, layout) == zero
+
+    @pytest.mark.parametrize("qpc", [1, 2, 3, 4, 5, 6])
+    def test_self_parities_are_pair_parities_on_cap2_words(self, qpc):
+        n = qpc * WINDOW * WINDOW
+        words = [
+            (x, z)
+            for w in (1, 2)
+            for support in itertools.combinations(range(n), w)
+            for letters in itertools.product(((1, 0), (1, 1), (0, 1)), repeat=w)
+            for x, z in [(
+                sum(bx << slot for slot, (bx, _) in zip(support, letters)),
+                sum(bz << slot for slot, (_, bz) in zip(support, letters)),
+            )]
+        ]
+        assert len(words) == 3 * n + 9 * n * (n - 1) // 2
+        for x, z in words:
+            assert self_parities(x, z, qpc) == pair_parities(x, z, x, z, qpc), (x, z)
 
 
 class TestLayout:

@@ -18,8 +18,9 @@ from fqec.search_clifford import (
     connected_cell_offsets,
     sample_gate_set,
 )
-from fqec.symplectic import commute_parity, weight
-from oracles import translate_word_clipped
+from fqec.symplectic import PauliWord, commute_parity, weight
+from conftest import load_fixture
+from oracles import apply_gate_letters, translate_word_clipped
 
 NN2 = UnitCellLayout(2, Scheme.TWO_GRIDS, EdgeSet.NN_SQUARE)
 
@@ -112,17 +113,14 @@ class TestCnotGates:
         # instead of restoring the word, and deformed encodings can fail
         # validation.  The deform pipeline re-validates and rejects those.
         from fqec.lattice import slot_of
-        from fqec.search_clifford import _apply_cnot
-        from fqec.symplectic import PauliWord
 
         gate = CnotGate(((0, 0), 0), ((1, 0), 0))
         layout = vc_encoding.layout
-        word = PauliWord.identity(layout.n_slots).with_letter(
-            slot_of((0, 1), 0, layout), "X"
-        )
-        once, _ = _apply_cnot(word, gate, layout)
-        twice, _ = _apply_cnot(once, gate, layout)
-        assert twice != word
+        act = search_clifford._gate_masks(layout.qubits_per_cell, gate)
+        x = 1 << slot_of((0, 1), 0, layout)
+        once = act(x, 0)
+        twice = act(once[0], once[1])
+        assert twice[:2] != (x, 0)
 
         deformed, clipped = apply_clifford(vc_encoding, gate)
         assert clipped
@@ -143,6 +141,75 @@ class TestCnotGates:
         with pytest.raises(ValueError):
             # (2, 2) is not an edge-connected cell offset on nn-square
             apply_clifford(vc_encoding, CnotGate(((0, 0), 0), ((2, 2), 0)))
+
+
+def accepted_gates(layout):
+    """Every gate ``_check_gate`` accepts on ``layout``, up to the base cell:
+    each letter permutation per local, each intra-cell CNOT, and cross-cell
+    CNOTs over every connected offset in both orientations and for every
+    (control, target) local pair."""
+    qpc = layout.qubits_per_cell
+    gates = [SingleQubitGate(local, perm) for local in range(qpc) for perm in ALL_LETTER_PERMS]
+    pairs = [(c, t) for c in range(qpc) for t in range(qpc)]
+    gates += [CnotGate(((0, 0), c), ((0, 0), t)) for c, t in pairs if c != t]
+    for off in connected_cell_offsets(layout):
+        for c, t in pairs:
+            gates += [CnotGate(((0, 0), c), (off, t)), CnotGate((off, c), ((0, 0), t))]
+    return gates
+
+
+class TestGateOracle:
+    """The mask routine and ``apply_clifford`` against ``apply_gate_letters``."""
+
+    FIXTURES = {  # fixture: (accepted gates, of which clip some generator)
+        "d1_nn_square.json": (30, 11),
+        "d2_nn_square.json": (30, 9),
+        "nnn_rank4.json": (46, 31),
+        "triangular_rank2.json": (38, 23),
+    }
+
+    def test_accepted_gates_are_every_offset_check_gate_takes(self):
+        for name in self.FIXTURES:
+            layout = load_fixture(name).layout
+            offsets = set(connected_cell_offsets(layout))
+            for dx, dy in ALL_SHIFTS:
+                gate = CnotGate(((0, 0), 0), ((dx, dy), 1))
+                if (dx, dy) == (0, 0) or {(dx, dy), (-dx, -dy)} & offsets:
+                    search_clifford._check_gate(layout, gate)
+                else:
+                    with pytest.raises(ValueError):
+                        search_clifford._check_gate(layout, gate)
+
+    @pytest.mark.parametrize("name", sorted(FIXTURES))
+    def test_fixture_generators(self, name):
+        enc = load_fixture(name)
+        layout = enc.layout
+        gates = accepted_gates(layout)
+        clipping = 0
+        for gate in gates:
+            deformed, clipped = apply_clifford(enc, gate)
+            act = search_clifford._gate_masks(layout.qubits_per_cell, gate)
+            want_clipped = False
+            for gen, word in enc.generators.items():
+                want, word_clipped = apply_gate_letters(word, gate, layout)
+                assert act(word.x_mask, word.z_mask) == (want.x_mask, want.z_mask, word_clipped)
+                assert deformed.generators[gen] == want
+                want_clipped = want_clipped or word_clipped
+            assert clipped == want_clipped, gate
+            clipping += clipped
+        assert (len(gates), clipping) == self.FIXTURES[name]
+
+    @pytest.mark.parametrize("name", sorted(FIXTURES))
+    def test_random_words(self, name):
+        layout = load_fixture(name).layout
+        n = layout.n_slots
+        rng = random.Random(name)
+        for gate in accepted_gates(layout):
+            act = search_clifford._gate_masks(layout.qubits_per_cell, gate)
+            for _ in range(4):
+                word = PauliWord(rng.getrandbits(n), rng.getrandbits(n), n)
+                want, clipped = apply_gate_letters(word, gate, layout)
+                assert act(word.x_mask, word.z_mask) == (want.x_mask, want.z_mask, clipped)
 
 
 class TestSoundSequencesInvariance:
@@ -355,14 +422,22 @@ class TestSequenceWalk:
         return CliffordConfig(**fields)
 
     @staticmethod
-    def counting_apply(monkeypatch):
+    def counting_gates(monkeypatch):
+        """Record the gate of every call of a mask routine the walk builds:
+        one gate application makes one call per generator."""
         calls = []
+        real = search_clifford._gate_masks
 
-        def counted(enc, gate):
-            calls.append(gate)
-            return apply_clifford(enc, gate)
+        def counted(qpc, gate):
+            act = real(qpc, gate)
 
-        monkeypatch.setattr(search_clifford, "apply_clifford", counted)
+            def wrapper(x, z):
+                calls.append(gate)
+                return act(x, z)
+
+            return wrapper
+
+        monkeypatch.setattr(search_clifford, "_gate_masks", counted)
         return calls
 
     def test_matches_replay(self, d2_encoding):
@@ -375,24 +450,32 @@ class TestSequenceWalk:
                 for i in seq:
                     enc, gate_clipped = apply_clifford(enc, gates[i])
                     clipped = clipped or gate_clipped
-                replay.append((seq, enc.generators, clipped))
-        walked = [
-            (seq, enc.generators, clipped)
-            for seq, enc, clipped in search_clifford._gate_sequences(
-                cfg.base, gates, cfg.max_sequence_length
-            )
-        ]
+                masks = tuple((w.x_mask, w.z_mask) for w in enc.generators.values())
+                replay.append((seq, masks, clipped))
+        walked = list(search_clifford._gate_sequences(cfg.base, gates, cfg.max_sequence_length))
         assert len(walked) == 821
         assert any(clipped for _, _, clipped in walked)
         assert walked == replay
 
     def test_one_gate_application_per_sequence(self, d2_encoding, monkeypatch):
         # Replaying each sequence from the base would take 2,350 applications.
+        # Only the 332 distinct maps become words and candidates.
         cfg = self.pipeline_cfg(d2_encoding)
-        calls = self.counting_apply(monkeypatch)
+        calls = self.counting_gates(monkeypatch)
+        built = {"PauliWord": 0, "EncodingCandidate": 0}
+        for name in built:
+            real = getattr(search_clifford, name)
+
+            def counted(*args, _real=real, _name=name):
+                built[_name] += 1
+                return _real(*args)
+
+            monkeypatch.setattr(search_clifford, name, counted)
         report = clifford_deform_search(cfg, lambda enc, prov: None, final_w_max=3)
         assert report.nodes == 821
-        assert len(calls) == 930
+        n_gens = len(d2_encoding.generators)
+        assert len(calls) == 930 * n_gens
+        assert built == {"PauliWord": 332 * n_gens, "EncodingCandidate": 332}
 
     def test_budget_cut_mid_length(self, d2_encoding):
         # Length 3 spans sequences 102..821; the pinned report is the one the
@@ -409,7 +492,7 @@ class TestSequenceWalk:
         assert len(emitted) == 20
 
     def test_lengths_beyond_the_pool_are_not_walked(self, vc_encoding, monkeypatch):
-        calls = self.counting_apply(monkeypatch)
+        calls = self.counting_gates(monkeypatch)
         reports = []
         for extra in (0, 2):
             cfg = CliffordConfig(
