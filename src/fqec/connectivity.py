@@ -12,7 +12,7 @@ Graph thickness is NP-hard, so it is reported as a greedy upper bound: the
 number of planar layers extracted by inserting edges, in a deterministic
 order, into the current layer whenever planarity survives.  Three exact
 rules decide most edges without testing the whole layer, so the layers are
-those of one ``nx.check_planarity`` call per edge:
+those of one planarity test of the whole layer per edge:
 
 * A bridge, an edge between two components of the layer, is accepted
   untested: the blocks of the layer are unchanged and the bridge is a
@@ -27,6 +27,9 @@ those of one ``nx.check_planarity`` call per edge:
   graph is.
 * A core of at most 8 edges is accepted untested: K3,3, the smallest
   non-planar graph, has 9.
+
+The cores left are tested by ``_is_planar``, a left-right planarity test
+that answers yes or no and builds no embedding.
 """
 
 from __future__ import annotations
@@ -34,8 +37,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
-
-import networkx as nx
 
 from . import fermion, lattice
 from .fermion import HamiltonianSpec
@@ -173,22 +174,234 @@ def _core(adj: dict[Node, set[Node]]) -> dict[Node, set[Node]]:
     return adj
 
 
+def _is_planar(adj: dict[Node, set[Node]]) -> bool:
+    """Whether the simple graph ``adj`` (dict of neighbour sets) is planar.
+
+    Brandes's left-right planarity test ("The left-right planarity test",
+    2009), which decides the Trémaux-tree criterion of de Fraysseix, Ossona
+    de Mendez and Rosenstiehl ("Trémaux trees and planarity", IJFCS 17,
+    2006) in linear time.  Vertices are mapped to ints and both passes walk
+    int arrays with explicit stacks, so the depth of the graph's DFS tree
+    never reaches Python's recursion limit.
+
+    * The orientation pass runs a DFS that directs each tree edge away from
+      the root and each back edge toward it, and gives every edge its
+      lowpoint (height of the lowest return), second lowpoint and nesting
+      depth.
+    * The testing pass runs the DFS again, visiting each vertex's outgoing
+      edges by nesting depth, and keeps the return edges of the processed
+      subtrees as a stack of conflict pairs (two intervals of back edges that
+      must lie on opposite sides, linked by ``ref`` chains).  Adding an edge's
+      constraints merges the pairs it conflicts with; back edges are trimmed
+      off the pairs when the DFS retreats past their endpoint.  The graph is
+      planar iff no pair ever needs the same interval on both sides.
+
+    Only the yes/no answer is kept: no side is fixed and no embedding is
+    built.
+    """
+    index = {v: i for i, v in enumerate(adj)}
+    n = len(index)
+    nbrs = [[index[w] for w in ws] for ws in adj.values()]
+    m = sum(map(len, nbrs)) // 2
+    if n > 2 and m > 3 * n - 6:
+        return False  # Euler's bound
+
+    # Orientation pass.  Edge ids are given in the order the DFS directs the
+    # edges; ``src``/``dst`` are their ends, ``parent_edge[v]`` the tree edge
+    # into v (-1 at a root).
+    height = [-1] * n
+    parent_edge = [-1] * n
+    src: list[int] = []
+    dst: list[int] = []
+    lowpt: list[int] = []
+    lowpt2: list[int] = []
+    out: list[list[int]] = [[] for _ in range(n)]
+
+    def finish(ei: int) -> None:
+        """Fold the final lowpoints of ``ei`` into its parent tree edge."""
+        low = lowpt[ei]
+        e = parent_edge[src[ei]]
+        if e >= 0:
+            if low < lowpt[e]:
+                lowpt2[e] = min(lowpt[e], lowpt2[ei])
+                lowpt[e] = low
+            elif low > lowpt[e]:
+                lowpt2[e] = min(lowpt2[e], low)
+            else:
+                lowpt2[e] = min(lowpt2[e], lowpt2[ei])
+
+    pos = [0] * n
+    for root in range(n):
+        if height[root] >= 0:
+            continue
+        height[root] = 0
+        stack = [root]
+        while stack:
+            v = stack[-1]
+            hv = height[v]
+            ws = nbrs[v]
+            parent = src[parent_edge[v]] if parent_edge[v] >= 0 else -1
+            i = pos[v]
+            while i < len(ws):
+                w = ws[i]
+                i += 1
+                hw = height[w]
+                if hw >= 0 and (w == parent or hw > hv):
+                    continue  # directed already, from the other end
+                ei = len(src)
+                src.append(v)
+                dst.append(w)
+                lowpt2.append(hv)
+                out[v].append(ei)
+                if hw < 0:  # tree edge
+                    lowpt.append(hv)
+                    parent_edge[w] = ei
+                    height[w] = hv + 1
+                    stack.append(w)
+                    break
+                lowpt.append(hw)  # back edge
+                finish(ei)
+            else:
+                stack.pop()
+                if parent_edge[v] >= 0:
+                    finish(parent_edge[v])
+            pos[v] = i
+
+    # Testing pass.  A conflict pair is [left low, left high, right low,
+    # right high], each a back edge or -1 for none; an interval is empty
+    # when both its ends are -1.  ``bottom[ei]`` is the pair that topped the
+    # stack when the DFS entered ``ei``.  ``ref`` has one spare slot at the
+    # end, so the writes through a missing interval end (-1) land there.
+    def nesting_depth(ei: int) -> int:
+        return 2 * lowpt[ei] + (lowpt2[ei] < height[src[ei]])
+
+    ordered = [sorted(es, key=nesting_depth) for es in out]
+    ref = [-1] * (m + 1)
+    lowpt_edge = [-1] * m
+    bottom: list = [None] * m
+    pairs: list[list[int]] = []
+
+    def add_constraints(ei: int, e: int) -> bool:
+        """Merge the return edges of ``ei`` and those they conflict with."""
+        left_low = left_high = right_low = right_high = -1
+        while True:
+            ll, lh, rl, rh = pairs.pop()
+            if ll >= 0 or lh >= 0:
+                ll, lh, rl, rh = rl, rh, ll, lh
+            if ll >= 0 or lh >= 0:
+                return False
+            if lowpt[rl] > lowpt[e]:
+                if right_low < 0 and right_high < 0:
+                    right_high = rh
+                else:
+                    ref[right_low] = rh
+                right_low = rl
+            else:
+                ref[rl] = lowpt_edge[e]
+            if (pairs[-1] if pairs else None) is bottom[ei]:
+                break
+        low = lowpt[ei]
+        while pairs:
+            ll, lh, rl, rh = pairs[-1]
+            left_conflict = (ll >= 0 or lh >= 0) and lowpt[lh] > low
+            right_conflict = (rl >= 0 or rh >= 0) and lowpt[rh] > low
+            if not (left_conflict or right_conflict):
+                break
+            pairs.pop()
+            if right_conflict:
+                ll, lh, rl, rh = rl, rh, ll, lh
+                if left_conflict:
+                    return False
+            ref[right_low] = rh
+            if rl >= 0:
+                right_low = rl
+            if left_low < 0 and left_high < 0:
+                left_high = lh
+            else:
+                ref[left_low] = lh
+            left_low = ll
+        if left_low >= 0 or left_high >= 0 or right_low >= 0 or right_high >= 0:
+            pairs.append([left_low, left_high, right_low, right_high])
+        return True
+
+    def remove_back_edges(e: int) -> None:
+        """Trim the back edges that end at the tail of tree edge ``e``."""
+        u = src[e]
+        hu = height[u]
+        while pairs:
+            ll, lh, rl, rh = pairs[-1]
+            if ll < 0 and lh < 0:
+                lowest = lowpt[rl]
+            elif rl < 0 and rh < 0:
+                lowest = lowpt[ll]
+            else:
+                lowest = min(lowpt[ll], lowpt[rl])
+            if lowest != hu:
+                break
+            pairs.pop()
+        if pairs:
+            pair = pairs[-1]
+            ll, lh, rl, rh = pair
+            while lh >= 0 and dst[lh] == u:
+                lh = ref[lh]
+            if lh < 0 and ll >= 0:
+                ref[ll] = rl
+                ll = -1
+            while rh >= 0 and dst[rh] == u:
+                rh = ref[rh]
+            if rh < 0 and rl >= 0:
+                ref[rl] = ll
+                rl = -1
+            pair[:] = ll, lh, rl, rh
+
+    pos = [0] * n
+    for root in range(n):
+        if parent_edge[root] >= 0:
+            continue
+        stack = [root]
+        while stack:
+            v = stack[-1]
+            hv = height[v]
+            e = parent_edge[v]
+            es = ordered[v]
+            i = pos[v]
+            while i < len(es):
+                ei = es[i]
+                i += 1
+                w = dst[ei]
+                bottom[ei] = pairs[-1] if pairs else None
+                if parent_edge[w] == ei:  # tree edge: its constraints wait for w
+                    stack.append(w)
+                    break
+                lowpt_edge[ei] = ei
+                pairs.append([-1, -1, ei, ei])
+                if lowpt[ei] < hv:
+                    if i == 1:
+                        lowpt_edge[e] = ei
+                    elif not add_constraints(ei, e):
+                        return False
+            else:
+                stack.pop()
+                if e >= 0:
+                    remove_back_edges(e)
+                    u = src[e]
+                    if lowpt[e] < height[u]:
+                        if ordered[u][0] == e:
+                            lowpt_edge[parent_edge[u]] = lowpt_edge[e]
+                        elif not add_constraints(e, parent_edge[u]):
+                            return False
+            pos[v] = i
+    return True
+
+
 # K3,3, the smallest non-planar graph, has 9 edges.
 _SMALL_CORE_EDGES = 8
 
 
 def _core_is_planar(adj: dict[Node, set[Node]]) -> bool:
     core = _core({v: set(nbrs) for v, nbrs in adj.items()})
-    edges = [(u, v) for u, nbrs in core.items() for v in nbrs if u < v]
-    if len(edges) <= _SMALL_CORE_EDGES:
-        return True
-    graph = nx.Graph(edges)
-    ok, _ = nx.check_planarity(graph)
-    # check_planarity caches an edge view on the graph, a reference cycle that
-    # only the cyclic collector would free; emptying the graph frees its
-    # adjacency at once.
-    graph.clear()
-    return ok
+    n_edges = sum(len(nbrs) for nbrs in core.values()) // 2
+    return n_edges <= _SMALL_CORE_EDGES or _is_planar(core)
 
 
 def _find(parent: dict[Node, Node], x: Node) -> Node:

@@ -7,8 +7,10 @@ from collections import Counter
 import networkx as nx
 import pytest
 
+from fqec import connectivity
 from fqec.connectivity import (
     ConnectivityGraph,
+    _is_planar,
     build_graph,
     euler_thickness_bound,
     max_degree,
@@ -187,13 +189,13 @@ class TestPlanarityCalls:
     @pytest.fixture
     def calls(self, monkeypatch):
         count = [0]
-        check_planarity = nx.check_planarity
+        is_planar = connectivity._is_planar
 
-        def counting(*args, **kwargs):
+        def counting(adj):
             count[0] += 1
-            return check_planarity(*args, **kwargs)
+            return is_planar(adj)
 
-        monkeypatch.setattr(nx, "check_planarity", counting)
+        monkeypatch.setattr(connectivity, "_is_planar", counting)
         return count
 
     def test_tree_needs_no_test(self, calls):
@@ -211,6 +213,123 @@ class TestPlanarityCalls:
     def test_fixture_counts(self, calls, name, expected):
         thickness_upper_bound(fixture_graph(name, 0.0))
         assert calls[0] == expected
+
+
+def adjacency(graph):
+    return {v: set(graph[v]) for v in graph}
+
+
+def subdivided(base, rng):
+    """``base`` with each edge a path of 1-4 edges, pendant vertices hung on
+    it and the vertices relabelled at random."""
+    graph = nx.Graph()
+    fresh = itertools.count(len(base))
+    for a, b in base.edges:
+        nx.add_path(graph, [a, *(next(fresh) for _ in range(rng.randint(0, 3))), b])
+    for _ in range(rng.randint(0, 6)):
+        graph.add_edge(rng.choice(list(graph)), next(fresh))
+    labels = rng.sample(range(len(graph)), len(graph))
+    return nx.relabel_nodes(graph, dict(zip(graph, labels)))
+
+
+def stacked_triangulation(n, rng):
+    """A maximal planar graph: each new vertex is joined to a random face."""
+    graph = nx.Graph([(0, 1), (1, 2), (2, 0)])
+    faces = [(0, 1, 2), (0, 1, 2)]
+    for v in range(3, n):
+        a, b, c = faces.pop(rng.randrange(len(faces)))
+        graph.add_edges_from([(v, a), (v, b), (v, c)])
+        faces += [(a, b, v), (b, c, v), (a, c, v)]
+    return graph
+
+
+class TestIsPlanarMatchesNetworkx:
+    """The left-right kernel against ``nx.check_planarity``."""
+
+    def test_random_graphs(self):
+        # Sparse, middling and dense graphs on up to 12 vertices, and
+        # disjoint unions of two middling ones.
+        rng = random.Random(16)
+        seen = Counter()
+        for i in range(20000):
+            kind = i % 4
+            sizes = [rng.randint(1, 12)] if kind < 3 else [rng.randint(1, 9), rng.randint(1, 9)]
+            density = rng.uniform(*((0.05, 0.3), (0.3, 0.6), (0.6, 1.0), (0.3, 0.7))[kind])
+            adj = {}
+            for n in sizes:
+                vertices = range(len(adj), len(adj) + n)
+                adj.update((v, set()) for v in vertices)
+                for a, b in itertools.combinations(vertices, 2):
+                    if rng.random() < density:
+                        adj[a].add(b)
+                        adj[b].add(a)
+            graph = nx.Graph(adj)
+            want = nx.check_planarity(graph)[0]
+            assert _is_planar(adj) == want, adj
+            seen[want, nx.is_connected(graph)] += 1
+            seen["within Euler's bound"] += not want and graph.size() <= 3 * len(graph) - 6
+        assert min(seen[key] for key in itertools.product((False, True), repeat=2)) > 1000
+        assert seen["within Euler's bound"] > 1000, seen
+
+    def test_subdivisions_of_k5_and_k33(self):
+        rng = random.Random(5)
+        for base in (nx.complete_graph(5), nx.complete_bipartite_graph(3, 3)):
+            for _ in range(200):
+                graph = subdivided(base, rng)
+                assert not _is_planar(adjacency(graph))
+                assert not nx.check_planarity(graph)[0]
+                # K5 and K3,3 less one edge are planar, and so are their subdivisions.
+                smaller = base.copy()
+                smaller.remove_edge(*rng.choice(list(base.edges)))
+                graph = subdivided(smaller, rng)
+                assert _is_planar(adjacency(graph))
+                assert nx.check_planarity(graph)[0]
+
+    def test_grids_and_wheels(self):
+        rng = random.Random(9)
+        for rows in range(2, 9):
+            for cols in range(2, 9):
+                grid = nx.grid_2d_graph(rows, cols)
+                assert _is_planar(adjacency(grid))
+                for _ in range(3):  # a chord may cross the grid
+                    chorded = grid.copy()
+                    a, b = rng.sample(list(grid), 2)
+                    chorded.add_edge(a, b)
+                    assert _is_planar(adjacency(chorded)) == nx.check_planarity(chorded)[0]
+        for n in range(4, 40):
+            wheel = nx.wheel_graph(n)
+            assert _is_planar(adjacency(wheel))
+            rim_chord = wheel.copy()
+            rim_chord.add_edge(1, n // 2 + 1)
+            assert _is_planar(adjacency(rim_chord)) == nx.check_planarity(rim_chord)[0]
+
+    def test_maximal_planar_graphs(self):
+        rng = random.Random(11)
+        for _ in range(300):
+            graph = stacked_triangulation(rng.randint(3, 40), rng)
+            assert graph.number_of_edges() == 3 * len(graph) - 6
+            assert _is_planar(adjacency(graph))
+            # Swap one edge for another: still planar only if it fits a face.
+            graph.remove_edge(*rng.choice(list(graph.edges)))
+            absent = [e for e in itertools.combinations(graph, 2) if not graph.has_edge(*e)]
+            graph.add_edge(*rng.choice(absent))
+            assert _is_planar(adjacency(graph)) == nx.check_planarity(graph)[0]
+
+    @pytest.mark.parametrize("name", ["d1_nn_square", "d2_nn_square", "nnn_rank4", "triangular_rank2"])
+    def test_every_core_of_the_fixtures(self, monkeypatch, name):
+        cores = []
+        is_planar = connectivity._is_planar
+
+        def capturing(adj):
+            cores.append({v: set(nbrs) for v, nbrs in adj.items()})
+            return is_planar(adj)
+
+        monkeypatch.setattr(connectivity, "_is_planar", capturing)
+        for t_prime in (0.0, 1.0):
+            thickness_upper_bound(fixture_graph(name, t_prime))
+        assert cores
+        for core in cores:
+            assert is_planar(core) == nx.check_planarity(nx.Graph(core))[0]
 
 
 class TestExports:
