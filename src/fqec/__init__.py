@@ -7,7 +7,7 @@ Clifford-deformation searches behind a shared Pareto front, and
 connectivity-graph scoring.
 """
 
-from .distance import DistanceBudget, DistanceResult, is_logical, min_distance
+from .distance import DistanceBudget, DistanceResult, min_distance
 from .encoding import EncodingCandidate, Metrics, Violation, compute_metrics, derive_stabilizers, validate
 from .fermion import (
     FermionGeneratorId,
@@ -79,7 +79,6 @@ __all__ = [
     "derive_stabilizers",
     "edge_vertex_required_parity",
     "format_pauli",
-    "is_logical",
     "loop_stabilizer",
     "majorana_commute_parity",
     "min_distance",

@@ -12,10 +12,11 @@ for each slot and letter one int whose bit ``j`` is set iff that letter
 anticommutes with translate ``j``; an error's syndrome is the XOR of its
 letters' entries.  Supports come in combinations order, so consecutive
 supports share prefixes: the scan keeps, per prefix length, the set of
-syndromes of every letter choice on the prefix and rebuilds only the levels
-past the first slot that changed.  An error on a support is undetected iff
-a last-slot letter's syndrome lies in the set of the other slots; only such
-supports have their errors built and tested against the span.
+syndromes of every letter choice on the prefix, and rebuilds them, past the
+first slot that changed, only when the prefix changes.  An error on a
+support is undetected iff a last-slot letter's syndrome lies in the set of
+the other slots.  Only on such supports are words built, and only for the
+letter choices whose syndrome is zero; each is tested against the span.
 
 Translations that fall partially outside the open 3x3 window are excluded
 from the check set (a clipped stabilizer is not a stabilizer), matching the
@@ -29,7 +30,6 @@ re-implementation on dense letter arrays as an independent oracle.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable
 
@@ -39,7 +39,7 @@ from .symplectic import LETTER_BITS, PauliWord, SymplecticBasis
 if TYPE_CHECKING:  # pragma: no cover
     from .encoding import EncodingCandidate
 
-_LETTERS = "XYZ"
+_XYZ_BITS = tuple(LETTER_BITS[letter] for letter in "XYZ")
 
 
 @dataclass(frozen=True)
@@ -124,14 +124,6 @@ def _check_set(enc: "EncodingCandidate") -> tuple[list[tuple[int, int, int]], Sy
     return _syndrome_table(n, stabs), _stabilizer_span(n, stabs)
 
 
-def _is_logical(e: PauliWord, table: list[tuple[int, int, int]], basis: SymplecticBasis) -> bool:
-    """True iff ``e`` is neither detected (nonzero syndrome) nor trivial (in the span)."""
-    syndrome = 0
-    for slot in e.support_slots():
-        syndrome ^= table[slot][_LETTERS.index(e.letter(slot))]
-    return syndrome == 0 and not basis.contains(e)
-
-
 # Column (row) sets of a centered support as bit masks, one bit per window
 # column (row): {1}, {0, 1}, {0, 2} or {0, 1, 2}.  A cell bounding box of
 # size b is centered when it starts at (WINDOW - b) // 2.
@@ -174,23 +166,18 @@ def canonical_supports(layout, w: int) -> list[tuple[int, ...]]:
     return out
 
 
-def is_logical(e: PauliWord, enc: "EncodingCandidate") -> bool:
-    """True iff ``e`` commutes with every translated stabilizer but is not in their span."""
-    if e.n_slots != enc.layout.n_slots:
-        raise ValueError(f"slot count mismatch: {e.n_slots} vs {enc.layout.n_slots}")
-    return _is_logical(e, *_check_set(enc))
-
-
 def min_distance(enc: "EncodingCandidate", budget: DistanceBudget) -> DistanceResult:
     """Exact minimum distance up to ``budget.w_max``, else a lower bound.
 
     Weights are scanned in increasing order, supports in
     ``canonical_supports`` order.  ``levels[d]`` holds the syndromes of every
-    letter choice on the current support's first ``d`` slots and is rebuilt
-    only from the first slot where the support differs from the previous
-    one.  A letter choice on the last slot completes a zero syndrome iff its
-    syndrome is in ``levels[w - 1]``; only then are the support's errors
-    built and classified.
+    letter choice on the current support's first ``d`` slots; the levels are
+    rebuilt, from the first slot that changed, only when the support's
+    ``w - 1`` prefix differs from the previous support's.  A letter choice
+    on the last slot completes a zero syndrome iff its syndrome is in
+    ``levels[w - 1]``.  Only then is the support expanded: words are built,
+    in ``itertools.product`` order, for just the letter choices whose
+    syndrome is zero, and the first one outside the span is a logical.
     """
     layout = enc.layout
     n = layout.n_slots
@@ -198,23 +185,32 @@ def min_distance(enc: "EncodingCandidate", budget: DistanceBudget) -> DistanceRe
     for w in range(1, min(budget.w_max, n) + 1):
         last = w - 1
         levels = [{0}]
-        prev = (-1,) * w
+        top = levels[0]
+        prev = (-1,) * last
         for support in canonical_supports(layout, w):
-            k = 0
-            while k < last and support[k] == prev[k]:
-                k += 1
-            del levels[k + 1 :]
-            for slot in support[k:last]:
-                levels.append({p ^ t for p in levels[-1] for t in table[slot]})
-            prev = support
-            if levels[last].isdisjoint(table[support[last]]):
+            head = support[:last]
+            if head != prev:
+                k = 0
+                while head[k] == prev[k]:
+                    k += 1
+                del levels[k + 1 :]
+                for slot in head[k:]:
+                    levels.append({p ^ t for p in levels[-1] for t in table[slot]})
+                prev = head
+                top = levels[last]
+            end = support[last]
+            if top.isdisjoint(table[end]):
                 continue
-            for letters in itertools.product(_LETTERS, repeat=w):
-                x = z = 0
-                for slot, letter in zip(support, letters):
-                    bx, bz = LETTER_BITS[letter]
-                    x |= bx << slot
-                    z |= bz << slot
-                if _is_logical(PauliWord(x, z, n), table, basis):
-                    return DistanceResult.exact_distance(w)
+            # (syndrome, x, z) of every letter choice on the prefix.
+            choices = [(0, 0, 0)]
+            for slot in head:
+                choices = [
+                    (s ^ t, x | bx << slot, z | bz << slot)
+                    for s, x, z in choices
+                    for t, (bx, bz) in zip(table[slot], _XYZ_BITS)
+                ]
+            for s, x, z in choices:
+                for t, (bx, bz) in zip(table[end], _XYZ_BITS):
+                    if t == s and not basis.contains(PauliWord(x | bx << end, z | bz << end, n)):
+                        return DistanceResult.exact_distance(w)
     return DistanceResult.lower_bound(budget.w_max + 1)

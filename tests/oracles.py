@@ -1,7 +1,8 @@
 """Slow test-side oracles that share no code with the kernels they check.
 
 ``naive_min_distance`` re-implements ``fqec.distance.min_distance`` on dense
-letter arrays with no bit packing and no pruning.  ``canonical_supports``
+letter arrays with no bit packing and no pruning, and ``is_logical``
+classifies one word by the same rule.  ``canonical_supports``
 filters every slot combination by its cell bounding box, where
 ``fqec.distance.canonical_supports`` walks prefixes.  ``search_candidates``
 lists the words the brute-force search may try for one generator, straight
@@ -54,11 +55,6 @@ from fqec.symplectic import PauliWord, commute_parity, multiply, weight
 # ---------------------------------------------------------------------------
 # Dense-letter oracle (no bit packing, no pruning)
 
-_NAIVE_ANTI = {
-    ("X", "Z"), ("Z", "X"), ("X", "Y"), ("Y", "X"), ("Y", "Z"), ("Z", "Y"),
-}
-
-
 def _naive_letters(word: PauliWord) -> tuple[str, ...]:
     return tuple(word.letter(q) for q in range(word.n_slots))
 
@@ -79,9 +75,10 @@ def _naive_translate(
 
 
 def _naive_anticommutes(a: tuple[str, ...], b: tuple[str, ...]) -> bool:
+    # Two letters anticommute iff both are non-identity and they differ.
     count = 0
     for la, lb in zip(a, b):
-        if (la, lb) in _NAIVE_ANTI:
+        if la != lb and la != "I" and lb != "I":
             count += 1
     return count % 2 == 1
 
@@ -128,10 +125,8 @@ def canonical_supports(layout, w: int) -> list[tuple[int, ...]]:
     return out
 
 
-def naive_min_distance(enc: "EncodingCandidate", w_max: int) -> DistanceResult:
-    """Same contract as :func:`min_distance` on dense letter arrays."""
-    layout = enc.layout
-    n = layout.n_slots
+def _naive_translates(enc: "EncodingCandidate") -> list[tuple[str, ...]]:
+    """Distinct non-identity window translates of the stabilizer generators."""
     stabs = enc.stabilizer_generators
     if stabs is None:
         raise ValueError("stabilizers not derived")
@@ -139,11 +134,31 @@ def naive_min_distance(enc: "EncodingCandidate", w_max: int) -> DistanceResult:
     for stab in stabs:
         base = _naive_letters(stab)
         for shift in lattice.ALL_SHIFTS:
-            moved = _naive_translate(base, shift, layout)
+            moved = _naive_translate(base, shift, enc.layout)
             if moved is None or all(l == "I" for l in moved):
                 continue
             if moved not in translated:
                 translated.append(moved)
+    return translated
+
+
+def is_logical(error: PauliWord, enc: "EncodingCandidate") -> bool:
+    """True iff ``error`` commutes with every window translate of the
+    stabilizers but lies outside their span."""
+    if error.n_slots != enc.layout.n_slots:
+        raise ValueError(f"slot count mismatch: {error.n_slots} vs {enc.layout.n_slots}")
+    translated = _naive_translates(enc)
+    letters = _naive_letters(error)
+    if any(_naive_anticommutes(letters, s) for s in translated):
+        return False
+    return not _naive_in_span([_naive_vector(t) for t in translated], _naive_vector(letters))
+
+
+def naive_min_distance(enc: "EncodingCandidate", w_max: int) -> DistanceResult:
+    """Same contract as :func:`min_distance` on dense letter arrays."""
+    layout = enc.layout
+    n = layout.n_slots
+    translated = _naive_translates(enc)
     span_rows = [_naive_vector(t) for t in translated]
 
     for w in range(1, min(w_max, n) + 1):

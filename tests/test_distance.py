@@ -5,11 +5,11 @@ import random
 import pytest
 
 from conftest import load_fixture, random_sound_deformation
+from fqec import distance
 from fqec.distance import (
     DistanceBudget,
     DistanceResult,
     canonical_supports,
-    is_logical,
     min_distance,
     translated_stabilizers,
 )
@@ -18,7 +18,7 @@ from fqec.fermion import EDGE_DIRECTIONS, GeneratorKind, hopping_pair
 from fqec.lattice import CENTER, EdgeSet, Scheme, UnitCellLayout, cell_of, slot_of
 from fqec.symplectic import PauliWord
 from oracles import canonical_supports as filtered_supports
-from oracles import naive_min_distance
+from oracles import is_logical, naive_min_distance
 
 FIVE_QUBIT_CODE = ("XZZXI", "IXZZX", "XIXZZ", "ZXIXZ")
 
@@ -46,6 +46,20 @@ def cycle_graph_state(qpc: int) -> tuple[str, ...]:
         letters = ["I"] * qpc
         letters[i] = "X"
         letters[(i - 1) % qpc] = letters[(i + 1) % qpc] = "Z"
+        words.append("".join(letters))
+    return tuple(words)
+
+
+def relabelled_cycle_graph_state(qpc: int, rng: random.Random) -> tuple[str, ...]:
+    """``cycle_graph_state(qpc)`` with the locals shuffled and the three
+    letters permuted on each local, both drawn from ``rng``."""
+    order = rng.sample(range(qpc), qpc)
+    letter_maps = [dict(zip("XYZ", rng.sample("XYZ", 3)), I="I") for _ in range(qpc)]
+    words = []
+    for text in cycle_graph_state(qpc):
+        letters = ["I"] * qpc
+        for i, letter in enumerate(text):
+            letters[order[i]] = letter_maps[order[i]][letter]
         words.append("".join(letters))
     return tuple(words)
 
@@ -180,6 +194,12 @@ class TestFullRankGroups:
         expected = DistanceResult.lower_bound(4)
         assert min_distance(enc, DistanceBudget(3)) == naive_min_distance(enc, 3) == expected
 
+    @pytest.mark.parametrize("seed", range(5))
+    def test_relabelled_27_slots_match_oracle(self, seed):
+        enc = cell_local_group(relabelled_cycle_graph_state(3, random.Random(seed)))
+        expected = DistanceResult.lower_bound(4)
+        assert min_distance(enc, DistanceBudget(3)) == naive_min_distance(enc, 3) == expected
+
 
 class TestFiveQubitCode:
     def test_distance_three(self):
@@ -188,6 +208,52 @@ class TestFiveQubitCode:
         assert enc.layout.n_slots == 45
         expected = DistanceResult.exact_distance(3)
         assert min_distance(enc, DistanceBudget(4)) == naive_min_distance(enc, 3) == expected
+
+
+class TestBuiltWords:
+    """The scan builds a word only for a letter choice with zero syndrome."""
+
+    @pytest.fixture
+    def built(self, monkeypatch):
+        words = []
+
+        class CountingWord(PauliWord):
+            def __post_init__(self):
+                super().__post_init__()
+                words.append(self)
+
+        monkeypatch.setattr(distance, "PauliWord", CountingWord)
+        return words
+
+    @pytest.mark.parametrize(
+        # Building every letter choice of each passing support makes 8,802
+        # and 4,095 words.
+        "qpc, expected", [(3, 115), (4, 63)],
+    )
+    def test_full_rank_groups(self, built, qpc, expected):
+        enc = cell_local_group(cycle_graph_state(qpc))
+        assert min_distance(enc, DistanceBudget(4)) == DistanceResult.lower_bound(5)
+        assert len(built) == expected
+
+    def test_five_qubit_code(self, built):
+        # The first zero-syndrome word is a logical; building every letter
+        # choice of the passing support makes 4 words.
+        enc = cell_local_group(FIVE_QUBIT_CODE)
+        assert min_distance(enc, DistanceBudget(4)) == DistanceResult.exact_distance(3)
+        assert len(built) == 1
+        assert is_logical(built[0], enc)
+
+    def test_trivial_word_before_logical(self, built):
+        # X X on locals 0 and 1 has zero syndrome and lies in the span; the
+        # next zero-syndrome word on that support, Y Y, is a logical.
+        enc = cell_local_group(("ZZZZ", "XXXX", "XXII"))
+        expected = DistanceResult.exact_distance(2)
+        assert min_distance(enc, DistanceBudget(3)) == naive_min_distance(enc, 3) == expected
+        layout = enc.layout
+        pair = [slot_of(CENTER, local, layout) for local in (0, 1)]
+        assert [sorted(w.support_slots()) for w in built] == [pair, pair]
+        assert [w.letter(pair[0]) + w.letter(pair[1]) for w in built] == ["XX", "YY"]
+        assert [is_logical(w, enc) for w in built] == [False, True]
 
 
 class TestDifferential:
