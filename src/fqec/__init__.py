@@ -39,7 +39,6 @@ from .search_clifford import (
 from .symplectic import (
     PauliWord,
     SymplecticBasis,
-    commute_parity,
     format_pauli,
     multiply,
     parse_pauli,
@@ -73,7 +72,6 @@ __all__ = [
     "apply_clifford",
     "brute_force_search",
     "clifford_deform_search",
-    "commute_parity",
     "composite_edge",
     "compute_metrics",
     "derive_stabilizers",

@@ -493,16 +493,3 @@ def hopping_weight(
     words = term_masks(orbit, masks, qubits_per_cell)
     return orbit.copies * max((x | z).bit_count() for x, z in words)
 
-
-def hopping_pair(
-    enc: "EncodingCandidate", mode: int, direction: tuple[int, int]
-) -> tuple[PauliWord, PauliWord]:
-    """The two hopping Pauli words for a site direction, as ``PauliWord``s.
-
-    A mirrored direction shares the canonical one's orbit and words.
-    """
-    name = f"hop:{_DIRECTION_NAMES[direction]}:m{mode}"
-    layout = enc.layout
-    orbit = next(o for o in term_orbits(layout) if name in o.names)
-    a, b = term_masks(orbit, generator_masks(enc), layout.qubits_per_cell)
-    return PauliWord(*a, layout.n_slots), PauliWord(*b, layout.n_slots)

@@ -9,6 +9,8 @@ Commutation checks use clipped translates instead, which drop those slots;
 as a clipped translate by ``s`` meets a window word only at same-local slot
 pairs ``s`` cells apart, ``pair_parities`` reads two words' parities at
 every shift from those pairs without building a translate.
+``canonical_relabel`` keys a generator map by its class under relabeling
+of the cell-local qubits and their letters.
 
 The window is the finite-shift equivalent of a translationally invariant
 description: two replicated operators can only interact at relative cell
@@ -210,6 +212,57 @@ def _local_masks(qubits_per_cell: int) -> tuple[int, ...]:
     """Window slot mask of each cell-local index."""
     cells, qpc = range(WINDOW * WINDOW), qubits_per_cell
     return tuple(sum(1 << i * qpc + local for i in cells) for local in range(qpc))
+
+
+def canonical_relabel(
+    masks: tuple[tuple[int, int], ...], qubits_per_cell: int
+) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """Class key of a generator map (one ``(x, z)`` pair per generator)
+    under relabeling: a permutation of the cell-local qubits together with
+    a permutation of X/Y/Z on each local, applied in every cell alike.
+
+    Each local p is read on its own, generators in the given order and then
+    p's slots in ascending order.  The map on the (x, z) bits that sends the
+    first non-identity letter to X and the first letter anticommuting with
+    it (the first non-identity letter that differs) to Z is one of the six
+    GL(2, 2) maps; applied to p's bits shifted down to local 0, it gives the
+    local's signature, an ``(x, z)`` pair per generator.  The key is the
+    sorted tuple of the signatures.  Two maps have equal keys iff one is a
+    relabeling of the other:
+
+    * the normalisation cancels every letter permutation: permuting p's
+      letters moves neither of the two first positions, and the map then
+      sends the permuted letters to X and Z alike;
+    * sorting cancels the local permutation;
+    * the signatures rebuild the map up to relabeling: each local's letters
+      are an invertible letter map of its signature.
+    """
+    signatures = []
+    for p, local in enumerate(_local_masks(qubits_per_cell)):
+        letters = [((x & local) >> p, (z & local) >> p) for x, z in masks]
+        first = second = None
+        for x, z in letters:
+            if first is None and x | z:
+                s = (x | z) & -(x | z)
+                first = (x & s, z & s)
+            if first is not None:
+                # slots whose letter anticommutes with the first letter
+                other = (x if first[1] else 0) ^ (z if first[0] else 0)
+                if other:
+                    s = other & -other
+                    second = (x & s, z & s)
+                    break
+        if second is None:  # no two distinct letters: every letter becomes X
+            signatures.append(tuple((x | z, 0) for x, z in letters))
+            continue
+        # first -> X and second -> Z: the inverse of the matrix whose
+        # columns are first and second.
+        (ax, az), (bx, bz) = first, second
+        signatures.append(tuple(
+            ((x if bz else 0) ^ (z if bx else 0), (x if az else 0) ^ (z if ax else 0))
+            for x, z in letters
+        ))
+    return tuple(sorted(signatures))
 
 
 @lru_cache(maxsize=None)

@@ -198,7 +198,8 @@ class SearchReport:
     ``invalid`` and ``filtered`` count completions (sequences) whose map
     fails validation (or has no representable hopping path) or the filters.
     ``emitted`` counts encodings the front accepted and streamed; a deform
-    map is offered once, however many sequences reach it.  ``truncated``
+    relabeling class is offered once, by its first map, however many
+    sequences and maps reach it.  ``truncated``
     marks a run cut by its budget; ``best_distance`` is the largest exact
     distance emitted.
     """

@@ -20,11 +20,15 @@ Sequences are walked length by length, each length as one depth-first
 walk over the gate pool that keeps the prefix images, one mask pair per
 generator, on a stack: every sequence applies one gate to the image of its
 prefix, and the sequences of a length come in ``itertools.permutations``
-order.  Each distinct generator map becomes an encoding candidate and goes
-through the brute-force search's completion pipeline once, before which
-sequences are deduplicated by the masks they reach: validation, one
-metrics pass, the filters and the Pareto front.  Every emitted encoding
-therefore re-validates.
+order.  A single-qubit gate only relabels the code, so the maps that
+differ by a permutation of the cell-local qubits and of X/Y/Z on each local
+form one relabeling class (``lattice.canonical_relabel``), with one
+validation outcome and one metrics key.  The first map of each class in
+walk order becomes an encoding candidate and goes through the brute-force
+search's completion pipeline once: validation, one metrics pass, the
+filters and the Pareto front.  A map already reached reads its class's
+outcome by its raw masks, without computing the class key.  Every emitted
+encoding therefore re-validates.
 """
 
 from __future__ import annotations
@@ -294,12 +298,14 @@ def clifford_deform_search(
     length, walked in the calling thread by one prefix walk per length
     (``_gate_sequences``) on raw ``(x, z)`` masks: each sequence's image is
     its prefix's image with one more gate applied, never a replay from the
-    base.  The first sequence to reach a generator map (its masks)
-    builds the one ``EncodingCandidate`` of that map, generators in the
-    base's order, and sends it through ``search_bruteforce._complete``,
-    measured with the budget ``max(cfg.min_distance_filter, final_w_max)``;
-    later sequences that reach the map only add to the counter of its
-    outcome.
+    base.  The first sequence to reach a relabeling class (keyed by
+    ``lattice.canonical_relabel`` of its masks) builds the one
+    ``EncodingCandidate`` of the class, generators in the base's order, and
+    sends it through ``search_bruteforce._complete``, measured with the
+    budget ``max(cfg.min_distance_filter, final_w_max)``; that sequence's
+    provenance is the one streamed.  Later sequences that reach the class
+    only add to the counter of its outcome: a raw map seen before is looked
+    up by its masks, and a new map computes its class key once.
     ``sink`` receives each accepted encoding plus a provenance dict naming
     the gate sequence.  ``threads`` remains as a keyword that takes only 1
     (``bench/worker.py`` passes it); any other value raises ValueError.
@@ -314,10 +320,13 @@ def clifford_deform_search(
     n = layout.n_slots
     report = SearchReport()
     front = front if front is not None else ParetoFront()
-    # Outcome label of every generator map reached so far: validation, the
-    # metrics and the filters depend on the map alone.  The key packs the
-    # masks into one int, a tenth of the memory of the tuple.
+    # Outcome label of every relabeling class reached so far: validation,
+    # the metrics and the filters depend on the class alone.  ``outcomes``
+    # caches the label by raw generator map, the per-sequence fast path;
+    # its key packs the masks into one int, a tenth of the memory of the
+    # tuple.  Only a map that misses it computes its class key.
     outcomes: dict[int, str] = {}
+    classes: dict[tuple, str] = {}
     raw = _gate_sequences(cfg.base, gates, cfg.max_sequence_length)
     budget = cfg.sequence_budget
     sequences = raw if budget is None else itertools.islice(raw, budget)
@@ -328,21 +337,28 @@ def clifford_deform_search(
             key = (key << 2 * n) | (x << n) | z
         outcome = outcomes.get(key)
         if outcome is None:
-            enc = EncodingCandidate(
-                layout, {gen: PauliWord(x, z, n) for gen, (x, z) in zip(gens, masks)}
-            )
-            provenance = {
-                "clifford_sequence": [gates[i].describe() for i in seq],
-                "clipped": clipped,
-            }
-            outcome = outcomes[key] = _complete(
-                cfg, enc, w_max, report, front, lambda accepted: sink(accepted, provenance)
-            )
-        elif outcome == "invalid":
+            cls = lattice.canonical_relabel(masks, layout.qubits_per_cell)
+            outcome = classes.get(cls)
+            if outcome is None:
+                enc = EncodingCandidate(
+                    layout, {gen: PauliWord(x, z, n) for gen, (x, z) in zip(gens, masks)}
+                )
+                provenance = {
+                    "clifford_sequence": [gates[i].describe() for i in seq],
+                    "clipped": clipped,
+                }
+                outcome = outcomes[key] = classes[cls] = _complete(
+                    cfg, enc, w_max, report, front, lambda accepted: sink(accepted, provenance)
+                )
+                if outcome == "ok":
+                    report.completions += 1
+                continue
+            outcomes[key] = outcome
+        if outcome == "invalid":
             report.invalid += 1
         elif outcome == "filtered":
             report.filtered += 1
-        if outcome == "ok":
+        else:
             report.completions += 1
     if budget is not None and next(raw, None) is not None:
         report.truncated = True

@@ -96,12 +96,6 @@ def _check_same_slots(a: PauliWord, b: PauliWord) -> None:
         raise ValueError(f"slot count mismatch: {a.n_slots} vs {b.n_slots}")
 
 
-def commute_parity(a: PauliWord, b: PauliWord) -> int:
-    """Symplectic-form parity of two words: 0 = commute, 1 = anticommute."""
-    _check_same_slots(a, b)
-    return ((a.x_mask & b.z_mask).bit_count() + (a.z_mask & b.x_mask).bit_count()) & 1
-
-
 def multiply(a: PauliWord, b: PauliWord) -> PauliWord:
     """Group product modulo phase: XOR of the mask pairs."""
     _check_same_slots(a, b)

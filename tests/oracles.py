@@ -22,7 +22,14 @@ and builds no translate.  ``naive_term_weights`` and
 lists each orbit once and ``fermion.term_masks`` multiplies raw masks.
 ``apply_gate_letters`` applies a replicated Clifford gate letter by letter
 and reads clipping from cell coordinates, where ``search_clifford`` works on
-raw masks with per-gate slot tables.
+raw masks with per-gate slot tables.  ``relabel_class`` takes the least
+image of a generator map over every relabeling (all q!·6^q of them) on
+dense letters, where ``fqec.lattice.canonical_relabel`` normalises each
+local's letters once and sorts.
+
+``commute_parity`` and ``hopping_pair`` are test helpers with no caller in
+``fqec``: the symplectic parity of two ``PauliWord``s, and a hop's two words
+read from ``fermion.term_orbits`` by name.
 """
 
 from __future__ import annotations
@@ -45,11 +52,21 @@ from fqec.fermion import (
     edge_vertex_required_parity,
     far_cell_offset,
     generator_ids,
+    generator_masks,
     step,
+    term_masks,
+    term_orbits,
 )
 from fqec.lattice import CENTER, Scheme
 from fqec.search_clifford import SingleQubitGate
-from fqec.symplectic import PauliWord, commute_parity, multiply, weight
+from fqec.symplectic import PauliWord, multiply, weight
+
+
+def commute_parity(a: PauliWord, b: PauliWord) -> int:
+    """Symplectic-form parity of two words: 0 = commute, 1 = anticommute."""
+    if a.n_slots != b.n_slots:
+        raise ValueError(f"slot count mismatch: {a.n_slots} vs {b.n_slots}")
+    return ((a.x_mask & b.z_mask).bit_count() + (a.z_mask & b.x_mask).bit_count()) & 1
 
 
 # ---------------------------------------------------------------------------
@@ -531,6 +548,16 @@ def naive_hopping_pair(enc, mode, direction):
     )
 
 
+def hopping_pair(enc, mode, direction):
+    """The two words of a hop as ``fermion.term_orbits`` lists them, as
+    ``PauliWord``s; a mirrored direction shares the canonical one's orbit."""
+    name = f"hop:{_NAIVE_DIRECTION_NAMES[direction]}:m{mode}"
+    layout = enc.layout
+    orbit = next(o for o in term_orbits(layout) if name in o.names)
+    a, b = term_masks(orbit, generator_masks(enc), layout.qubits_per_cell)
+    return PauliWord(*a, layout.n_slots), PauliWord(*b, layout.n_slots)
+
+
 def _naive_onsite_modes(layout):
     # Mixed cells host both spins of one site; every other scheme pairs each
     # in-window mode with its disjoint opposite-spin copy, one term per mode.
@@ -582,3 +609,61 @@ def naive_term_words(enc, t_prime: float) -> set[tuple[int, int]]:
                 words.extend(naive_hopping_pair(enc, mode, d))
     words.extend(_naive_onsite_word(enc, mode) for mode in _naive_onsite_modes(layout))
     return {(w.x_mask, w.z_mask) for w in words if not w.is_identity()}
+
+
+# ---------------------------------------------------------------------------
+# Relabeling classes: the least image over the whole group, on dense letters
+
+LETTER_PERMS = tuple(itertools.permutations("XYZ"))
+
+
+def relabel_letters(
+    words: tuple[str, ...], qubits_per_cell: int, locals_to, letter_perms
+) -> tuple[str, ...]:
+    """Dense words relabeled: local p's letter ``L`` in every cell moves to
+    local ``locals_to[p]`` as ``letter_perms[p]``'s image of ``L`` (images of
+    X, Y, Z in that order)."""
+    q = qubits_per_cell
+    images = [dict(zip("IXYZ", ("I",) + tuple(perm))) for perm in letter_perms]
+    out = []
+    for word in words:
+        new = ["I"] * len(word)
+        for slot, letter in enumerate(word):
+            cell, p = divmod(slot, q)
+            new[cell * q + locals_to[p]] = images[p][letter]
+        out.append("".join(new))
+    return tuple(out)
+
+
+def dense_words(masks, qubits_per_cell: int) -> tuple[str, ...]:
+    """One letter string per ``(x, z)`` pair on the 3x3 window's slots."""
+    slots = range(9 * qubits_per_cell)
+    return tuple("".join("IXZY"[(x >> s & 1) | (z >> s & 1) << 1] for s in slots) for x, z in masks)
+
+
+def masks_of(words: tuple[str, ...]) -> tuple[tuple[int, int], ...]:
+    """Inverse of ``dense_words``."""
+    out = []
+    for word in words:
+        x = sum(1 << s for s, letter in enumerate(word) if letter in "XY")
+        z = sum(1 << s for s, letter in enumerate(word) if letter in "ZY")
+        out.append((x, z))
+    return tuple(out)
+
+
+def relabelings(qubits_per_cell: int):
+    """Every relabeling as ``(locals_to, letter_perms)``: q!·6^q of them."""
+    q = qubits_per_cell
+    for locals_to in itertools.permutations(range(q)):
+        for letter_perms in itertools.product(LETTER_PERMS, repeat=q):
+            yield locals_to, letter_perms
+
+
+def relabel_class(masks, qubits_per_cell: int) -> tuple[str, ...]:
+    """The least dense image of a generator map over every relabeling: two
+    maps are relabelings of each other iff their classes are equal."""
+    words = dense_words(masks, qubits_per_cell)
+    return min(
+        relabel_letters(words, qubits_per_cell, locals_to, letter_perms)
+        for locals_to, letter_perms in relabelings(qubits_per_cell)
+    )

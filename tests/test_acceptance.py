@@ -54,8 +54,8 @@ from fqec.search_clifford import (
     SingleQubitGate,
     apply_clifford,
 )
-from fqec.symplectic import PauliWord, commute_parity, multiply, weight
-from oracles import naive_min_distance, translate_word_clipped
+from fqec.symplectic import PauliWord, multiply, weight
+from oracles import commute_parity, naive_min_distance, translate_word_clipped
 
 NN2 = UnitCellLayout(2, Scheme.TWO_GRIDS, EdgeSet.NN_SQUARE)
 

@@ -14,11 +14,11 @@ from fqec.distance import (
     translated_stabilizers,
 )
 from fqec.encoding import EncodingCandidate, derive_stabilizers
-from fqec.fermion import EDGE_DIRECTIONS, GeneratorKind, hopping_pair
+from fqec.fermion import EDGE_DIRECTIONS, GeneratorKind
 from fqec.lattice import CENTER, EdgeSet, Scheme, UnitCellLayout, cell_of, slot_of
 from fqec.symplectic import PauliWord
 from oracles import canonical_supports as filtered_supports
-from oracles import is_logical, naive_min_distance
+from oracles import hopping_pair, is_logical, naive_min_distance
 
 FIVE_QUBIT_CODE = ("XZZXI", "IXZZX", "XIXZZ", "ZXIXZ")
 

@@ -29,8 +29,8 @@ from fqec.fermion import (
 )
 from fqec.lattice import ALL_SHIFTS, EdgeSet, Scheme, UnitCellLayout, translate_word
 from fqec.search_clifford import CliffordConfig, apply_clifford, sample_gate_set
-from fqec.symplectic import PauliWord, commute_parity, weight
-from oracles import naive_validate, translate_word_clipped
+from fqec.symplectic import PauliWord, weight
+from oracles import commute_parity, naive_validate, translate_word_clipped
 
 NN2 = UnitCellLayout(2, Scheme.TWO_GRIDS, EdgeSet.NN_SQUARE)
 

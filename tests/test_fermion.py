@@ -29,7 +29,6 @@ from fqec.fermion import (
     generator_id_from_name,
     generator_ids,
     generator_masks,
-    hopping_pair,
     hopping_weight,
     loop_stabilizer,
     majorana_commute_parity,
@@ -46,8 +45,10 @@ from fqec.lattice import (
     Scheme,
     UnitCellLayout,
 )
-from fqec.symplectic import PauliWord, commute_parity, multiply, weight
+from fqec.symplectic import PauliWord, multiply, weight
 from oracles import (
+    commute_parity,
+    hopping_pair,
     naive_hopping_pair,
     naive_term_weights,
     naive_term_words,

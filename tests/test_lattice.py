@@ -14,6 +14,7 @@ from fqec.lattice import (
     UnitCellLayout,
     _pair_shift_bits,
     _shift_tables,
+    canonical_relabel,
     cell_of,
     clipped_translates,
     edge_set_from_name,
@@ -23,8 +24,17 @@ from fqec.lattice import (
     slot_of,
     translate_word,
 )
-from fqec.symplectic import PauliWord, commute_parity, weight
-from oracles import translate_word_clipped
+from fqec.symplectic import PauliWord, weight
+from oracles import (
+    LETTER_PERMS,
+    commute_parity,
+    dense_words,
+    masks_of,
+    relabel_class,
+    relabel_letters,
+    relabelings,
+    translate_word_clipped,
+)
 
 
 def snake_order_oracle(qpc):
@@ -242,6 +252,75 @@ class TestPairParities:
         assert len(words) == 3 * n + 9 * n * (n - 1) // 2
         for x, z in words:
             assert self_parities(x, z, qpc) == pair_parities(x, z, x, z, qpc), (x, z)
+
+
+def sparse_map(rng, qpc, n_gens=2):
+    """A generator map whose words lie on the first two cells, at weight at
+    most 2, so that random maps often fall into one relabeling class."""
+    slots = range(2 * qpc)
+    masks = []
+    for _ in range(n_gens):
+        x = z = 0
+        for slot in rng.sample(slots, rng.randint(0, 2)):
+            letter = rng.randint(1, 3)
+            x |= (letter & 1) << slot
+            z |= (letter >> 1) << slot
+        masks.append((x, z))
+    return tuple(masks)
+
+
+def dense_map(rng, qpc, n_gens=3):
+    n = 9 * qpc
+    return tuple((rng.getrandbits(n), rng.getrandbits(n)) for _ in range(n_gens))
+
+
+def relabeled(masks, qpc, locals_to, letter_perms):
+    return masks_of(relabel_letters(dense_words(masks, qpc), qpc, locals_to, letter_perms))
+
+
+class TestCanonicalRelabel:
+    """``canonical_relabel`` against ``relabel_class``, the least image over
+    every relabeling."""
+
+    @pytest.mark.parametrize("qpc, count, n_classes", [(1, 150, 45), (2, 150, 56), (3, 60, 22)])
+    def test_equal_keys_iff_equal_classes(self, qpc, count, n_classes):
+        rng = random.Random(qpc)
+        maps = set()
+        while len(maps) < count:
+            masks = sparse_map(rng, qpc)
+            maps.add(masks)
+            # and a random relabeling of it, so that classes collide
+            locals_to = tuple(rng.sample(range(qpc), qpc))
+            letter_perms = [rng.choice(LETTER_PERMS) for _ in range(qpc)]
+            maps.add(relabeled(masks, qpc, locals_to, letter_perms))
+        pairs = {(canonical_relabel(m, qpc), relabel_class(m, qpc)) for m in sorted(maps)}
+        keys, classes = {k for k, _ in pairs}, {c for _, c in pairs}
+        assert len(keys) == len(classes) == len(pairs) == n_classes
+
+    @pytest.mark.parametrize("qpc", [1, 2])
+    def test_invariant_under_every_relabeling(self, qpc):
+        rng = random.Random(10 + qpc)
+        for masks in [sparse_map(rng, qpc) for _ in range(10)] + [dense_map(rng, qpc) for _ in range(10)]:
+            key = canonical_relabel(masks, qpc)
+            for locals_to, letter_perms in relabelings(qpc):
+                assert canonical_relabel(relabeled(masks, qpc, locals_to, letter_perms), qpc) == key
+
+    def test_invariant_under_sampled_relabelings_at_three_qubits(self):
+        rng = random.Random(13)
+        group = list(relabelings(3))
+        assert len(group) == 6 * 6**3
+        for masks in [sparse_map(rng, 3) for _ in range(10)] + [dense_map(rng, 3) for _ in range(10)]:
+            key = canonical_relabel(masks, 3)
+            for locals_to, letter_perms in rng.sample(group, 40):
+                assert canonical_relabel(relabeled(masks, 3, locals_to, letter_perms), 3) == key
+
+    def test_letters_normalised_per_local(self):
+        # Local 0 reads Y in cell 0, then X in cell 1: Y becomes X, X becomes
+        # Z.  Local 1 reads Z alone, in cell 1, which becomes X.  Shifted to
+        # local 0, cell c is bit 2c.
+        x = 1 << 0 | 1 << 2
+        z = 1 << 0 | 1 << 3
+        assert canonical_relabel(((x, z),), 2) == (((1, 1 << 2),), ((1 << 2, 0),))
 
 
 class TestLayout:

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -18,9 +19,9 @@ from fqec.search_clifford import (
     connected_cell_offsets,
     sample_gate_set,
 )
-from fqec.symplectic import PauliWord, commute_parity, weight
+from fqec.symplectic import PauliWord, weight
 from conftest import load_fixture
-from oracles import apply_gate_letters, translate_word_clipped
+from oracles import apply_gate_letters, commute_parity, relabel_class, translate_word_clipped
 
 NN2 = UnitCellLayout(2, Scheme.TWO_GRIDS, EdgeSet.NN_SQUARE)
 
@@ -364,11 +365,13 @@ class TestDeformSearch:
         assert len(keys) == len(set(keys))
 
     def test_one_pipeline_pass_per_distinct_map(self, d2_encoding, monkeypatch):
-        # Sequences are deduplicated by the generator map they reach before
-        # validation, so validate runs once per distinct map (plus the base
-        # check) and compute_metrics once per distinct valid map.  The
+        # Sequences are deduplicated by the relabeling class of the map they
+        # reach before validation, so validate runs once per class (plus the
+        # base check) and compute_metrics once per valid class.  The
         # counters still count every sequence: the pinned values were
         # measured with every sequence validated and measured on its own.
+        # Every map the front accepts is a relabeling of the base, so only
+        # the base is emitted.
         cfg = CliffordConfig(
             base=d2_encoding, n_single_qubit_samples=3, n_cnot_pairs=1,
             max_sequence_length=3, rng_seed=5, min_distance_filter=1,
@@ -381,7 +384,12 @@ class TestDeformSearch:
                 for gate in seq:
                     enc, _ = apply_clifford(enc, gate)
                 maps.setdefault(enc.canonical_key(), enc)
-        n_valid = sum(1 for enc in maps.values() if not validate(enc))
+        classes = {}
+        for enc in maps.values():
+            masks = tuple((w.x_mask, w.z_mask) for w in enc.generators.values())
+            classes.setdefault(relabel_class(masks, 2), enc)
+        n_valid = sum(1 for enc in classes.values() if not validate(enc))
+        assert (len(maps), len(classes), n_valid) == (332, 93, 9)
 
         calls = {"validate": 0, "compute_metrics": 0}
 
@@ -399,13 +407,34 @@ class TestDeformSearch:
             counting("compute_metrics", encoding.compute_metrics),
         )
         emitted = []
+        front = search_bruteforce.ParetoFront()
         report = clifford_deform_search(
-            cfg, lambda enc, prov: emitted.append(enc), final_w_max=3
+            cfg, lambda enc, prov: emitted.append(enc), final_w_max=3, front=front
         )
         assert (report.nodes, report.completions, report.filtered, report.invalid,
-                report.emitted) == (821, 401, 0, 420, 26)
-        assert calls == {"validate": len(maps) + 1, "compute_metrics": n_valid}
-        assert len(emitted) == 26
+                report.emitted) == (821, 401, 0, 420, 1)
+        assert calls == {"validate": len(classes) + 1, "compute_metrics": n_valid}
+        assert [enc.generators for enc in emitted] == [d2_encoding.generators]
+        assert {entry.key for entry in front.entries} == {(2, 6, Fraction(4), Fraction(40, 9))}
+
+    def test_each_completion_gets_a_new_class(self, d2_encoding, monkeypatch):
+        # _complete sees one map of every class the walk reaches, and never
+        # a second map of a class.
+        cfg = TestSequenceWalk.pipeline_cfg(d2_encoding)
+        received = []
+        real = search_clifford._complete
+
+        def recording(cfg, enc, *args):
+            masks = tuple((w.x_mask, w.z_mask) for w in enc.generators.values())
+            received.append(relabel_class(masks, 2))
+            return real(cfg, enc, *args)
+
+        monkeypatch.setattr(search_clifford, "_complete", recording)
+        clifford_deform_search(cfg, lambda enc, prov: None, final_w_max=3)
+        walked = search_clifford._gate_sequences(cfg.base, sample_gate_set(cfg), 3)
+        reached = {relabel_class(masks, 2) for masks in {masks for _, masks, _ in walked}}
+        assert len(received) == len(set(received)) == 93
+        assert set(received) == reached
 
 
 class TestSequenceWalk:
@@ -459,7 +488,8 @@ class TestSequenceWalk:
 
     def test_one_gate_application_per_sequence(self, d2_encoding, monkeypatch):
         # Replaying each sequence from the base would take 2,350 applications.
-        # Only the 332 distinct maps become words and candidates.
+        # Only the first map of each of the 93 relabeling classes becomes
+        # words and a candidate.
         cfg = self.pipeline_cfg(d2_encoding)
         calls = self.counting_gates(monkeypatch)
         built = {"PauliWord": 0, "EncodingCandidate": 0}
@@ -475,21 +505,22 @@ class TestSequenceWalk:
         assert report.nodes == 821
         n_gens = len(d2_encoding.generators)
         assert len(calls) == 930 * n_gens
-        assert built == {"PauliWord": 332 * n_gens, "EncodingCandidate": 332}
+        assert built == {"PauliWord": 93 * n_gens, "EncodingCandidate": 93}
 
     def test_budget_cut_mid_length(self, d2_encoding):
-        # Length 3 spans sequences 102..821; the pinned report is the one the
-        # replay of every sequence gave.
+        # Length 3 spans sequences 102..821; the pinned report, but for
+        # ``emitted``, is the one the replay of every sequence gave.  Only
+        # the base is emitted: the other accepted maps are its relabelings.
         cfg = self.pipeline_cfg(d2_encoding, sequence_budget=150)
         emitted = []
         report = clifford_deform_search(
             cfg, lambda enc, prov: emitted.append(prov), final_w_max=3
         )
         assert report == search_bruteforce.SearchReport(
-            nodes=150, completions=102, filtered=0, invalid=48, emitted=20,
+            nodes=150, completions=102, filtered=0, invalid=48, emitted=1,
             truncated=True, best_distance=2,
         )
-        assert len(emitted) == 20
+        assert emitted == [{"clifford_sequence": [], "clipped": False}]
 
     def test_lengths_beyond_the_pool_are_not_walked(self, vc_encoding, monkeypatch):
         calls = self.counting_gates(monkeypatch)

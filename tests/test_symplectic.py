@@ -9,12 +9,12 @@ from fqec.symplectic import (
     MAX_SLOTS,
     PauliWord,
     SymplecticBasis,
-    commute_parity,
     format_pauli,
     multiply,
     parse_pauli,
     weight,
 )
+from oracles import commute_parity
 
 
 def word(text, n):
