@@ -9,27 +9,55 @@ is the minimal connectivity for a CNOT-ladder implementation of a Pauli
 exponential; a clique would wildly overstate hardware needs.
 
 Graph thickness is NP-hard, so it is reported as a greedy upper bound: the
-number of planar layers extracted by inserting edges, in a deterministic
-order, into the current layer whenever planarity survives.  Three exact
-rules decide most edges without testing the whole layer, so the layers are
-those of one planarity test of the whole layer per edge:
+number of planar layers extracted by inserting edges uv, in a deterministic
+order, into the current layer G whenever G + uv is planar.  Exact rules
+decide each edge without testing all of G + uv:
 
-* A bridge, an edge between two components of the layer, is accepted
-  untested: the blocks of the layer are unchanged and the bridge is a
-  block of its own, and a graph is planar iff its blocks are.
-* Any other edge is tested on the core of the layer plus the edge: delete
-  vertices of degree at most 1 and smooth vertices of degree 2 (a parallel
-  edge that results collapses) until none is left.  Some subdivision of
-  the core is a subgraph of the graph, so a non-planar core means a
-  non-planar graph; and an embedding of the core extends back, by putting
-  each smoothed vertex on its edge (or on a copy drawn beside it) and each
-  deleted vertex next to its neighbour.  So the core is planar iff the
-  graph is.
-* A core of at most 8 edges is accepted untested: K3,3, the smallest
-  non-planar graph, has 9.
+* A bridge, an edge between two components of G, is accepted untested: the
+  blocks of G are unchanged and the bridge is a block of its own, and a
+  graph is planar iff its blocks are.
+* Other edges read the core K of G, left by deleting vertices of degree at
+  most 1 and smoothing vertices of degree 2 (a parallel edge that results
+  collapses) until none is left, and the pieces, the components of G - K.
+  A core vertex v has the class {v}, a piece vertex the set of core
+  vertices its piece attaches to, or the piece if that set is empty; both
+  are computed again only after G changed.  A banned uv is deferred; uv is
+  accepted if one class contains the other; else it is tested on the core
+  of T = K + piece(u) + piece(v) + uv, accepted if that has at most 8
+  edges (K3,3, the smallest non-planar graph, has 9) and else tested by
+  ``_is_planar``, a left-right planarity test that builds no embedding.  A
+  rejection bans, for the rest of the layer, every pair whose classes
+  contain those of u and v.
 
-The cores left are tested by ``_is_planar``, a left-right planarity test
-that answers yes or no and builds no embedding.
+Why the rules are exact, for a planar G:
+
+1. A piece attaches to at most two core vertices, adjacent in K if two: by
+   induction over the reductions, deleting w merges the removed components
+   on w into one on w's neighbour, and smoothing w merges them into one on
+   its two neighbours, which the new edge joins.
+2. If one class contains the other, G + uv is planar.  A piece plus its
+   attachments and their edge reduces to at most that edge, and a
+   reduction keeps any subdivided K4, so it is K4-minor-free; so is the
+   union H of the pieces of u and v with the larger class A and its edge.
+   H + uv is planar (K5 and K3,3 less an edge contain a K4), and G + uv is
+   its 1- or 2-sum over A with G less the pieces plus the edge of A, a
+   minor of G (for a class with no core vertex, a disjoint union).
+3. G + uv is planar iff T is, and that depends on the classes alone.  Let
+   S be K plus stand-ins for u and v joined by an edge: the vertex if in
+   K, else its piece's attachment, or a new vertex z joined to both
+   attachments a, b.  Contracting the pieces of u and v onto their
+   stand-ins, and the others onto their edges of K or away, leaves a minor
+   of G + uv that is S but for edges ab that only those pieces gave, which
+   fit along a-z-b as z has degree at most 3.  Conversely a piece on
+   {a, b} embeds with a, b, u on one face (plus a-z-b and zu it is
+   K4-minor-free plus an edge) and replaces z in a drawing of S, a piece
+   on {a} plus au is planar and fits at a, the other pieces glue back by
+   1- and 2-sums, and edges of K not in G are dropped.  K + piece(u) +
+   piece(v) reduces to K by the same reductions, so T behaves alike.
+4. So a rejection holds for every pair whose classes contain those of u
+   and v, as contracting each stand-in z of such a class onto the vertex
+   of the smaller class turns its S into that of uv; and for the rest of
+   the layer, since G only grows.
 """
 
 from __future__ import annotations
@@ -398,12 +426,6 @@ def _is_planar(adj: dict[Node, set[Node]]) -> bool:
 _SMALL_CORE_EDGES = 8
 
 
-def _core_is_planar(adj: dict[Node, set[Node]]) -> bool:
-    core = _core({v: set(nbrs) for v, nbrs in adj.items()})
-    n_edges = sum(len(nbrs) for nbrs in core.values()) // 2
-    return n_edges <= _SMALL_CORE_EDGES or _is_planar(core)
-
-
 def _find(parent: dict[Node, Node], x: Node) -> Node:
     """Root of ``x`` in a union-find forest where roots have no entry."""
     root = x
@@ -416,40 +438,82 @@ def _find(parent: dict[Node, Node], x: Node) -> Node:
     return root
 
 
-def thickness_upper_bound(g: ConnectivityGraph) -> int:
-    """Greedy planar decomposition; 1 iff the graph is planar.
+def _layer_classes(adj: dict[Node, set[Node]]) -> tuple[dict, dict, dict]:
+    """The core of the layer ``adj``, and each vertex's piece (a list shared
+    by the piece, empty for a core vertex) and class."""
+    core = _core({v: set(nbrs) for v, nbrs in adj.items()})
+    piece: dict[Node, list[Node]] = {v: [] for v in core}
+    cls = {v: frozenset((v,)) for v in core}
+    for start in adj:
+        if start not in piece:
+            members = piece[start] = [start]
+            attached = set()
+            for w in members:  # grows while it is walked
+                for x in adj[w]:
+                    if x in core:
+                        attached.add(x)
+                    elif x not in piece:
+                        piece[x] = members
+                        members.append(x)
+            cls.update(dict.fromkeys(members, frozenset(attached or members)))
+    return core, piece, cls
 
-    Edges are taken in sorted order; each layer keeps every edge whose
-    insertion leaves the layer planar, and remaining edges seed the next
-    layer.  The layer count upper-bounds the true thickness.
 
-    Each accept/defer decision is that of testing the whole layer plus the
-    edge, but the tests whose answer is known are skipped (see the module
-    docstring for why each rule is exact): an edge between two components
-    of the layer, kept in a union-find, is accepted untested; any other
-    edge is tested on the core of the layer plus the edge (``_core``); and
-    a core of at most 8 edges is accepted untested.
-    """
+def _planar_with_edge(core: dict, piece: dict, adj: dict, u: Node, v: Node) -> bool:
+    """Whether the layer ``adj`` plus uv is planar, tested on T."""
+    test = {w: set(nbrs) for w, nbrs in core.items()}
+    for w in piece[u] + piece[v]:
+        test[w] = set(adj[w])
+        for x in adj[w] & core.keys():
+            test[x].add(w)
+    test[u].add(v)
+    test[v].add(u)
+    _core(test)
+    return sum(map(len, test.values())) <= 2 * _SMALL_CORE_EDGES or _is_planar(test)
+
+
+def _planar_layers(g: ConnectivityGraph) -> list[list[tuple[Node, Node]]]:
+    """Each layer's edges: edges are taken in sorted order, each layer keeps
+    every edge that leaves it planar (by the rules of the module docstring),
+    and the deferred edges seed the next layer."""
     remaining = sorted(g.edges)
-    if not remaining:
-        return 1  # edgeless graphs are planar
-    layers = 0
+    layers = []
     while remaining:
         adj: dict[Node, set[Node]] = {}
         parent: dict[Node, Node] = {}
-        deferred = []
+        banned: set[tuple[Node, Node]] = set()
+        classes = None
+        kept, deferred = [], []
         for u, v in remaining:
             ru, rv = _find(parent, u), _find(parent, v)
-            adj.setdefault(u, set()).add(v)
-            adj.setdefault(v, set()).add(u)
             if ru != rv:
                 parent[ru] = rv
-            elif not _core_is_planar(adj):
-                adj[u].discard(v)
-                adj[v].discard(u)
+            elif (u, v) in banned:
                 deferred.append((u, v))
+                continue
+            else:
+                if classes is None:
+                    classes = _layer_classes(adj)
+                core, piece, cls = classes
+                cu, cv = cls[u], cls[v]
+                if not (cu <= cv or cv <= cu or _planar_with_edge(core, piece, adj, u, v)):
+                    xs = [w for w, c in cls.items() if cu <= c]
+                    ys = [w for w, c in cls.items() if cv <= c]
+                    banned.update((x, y) if x < y else (y, x) for x in xs for y in ys)
+                    deferred.append((u, v))
+                    continue
+            adj.setdefault(u, set()).add(v)
+            adj.setdefault(v, set()).add(u)
+            kept.append((u, v))
+            classes = None
+        layers.append(kept)
         remaining = deferred
-        layers += 1
+    return layers
+
+
+def thickness_upper_bound(g: ConnectivityGraph) -> int:
+    """Layer count of ``_planar_layers``; 1 iff the graph is planar."""
+    layers = len(_planar_layers(g)) or 1  # edgeless graphs are planar
     bound = euler_thickness_bound(g)
     if layers < bound:
         raise AssertionError(

@@ -7,8 +7,8 @@ filters every slot combination by its cell bounding box, where
 ``fqec.distance.canonical_supports`` walks prefixes.  ``search_candidates``
 lists the words the brute-force search may try for one generator, straight
 from the rules in the ``fqec.search_bruteforce`` docstring.
-``greedy_thickness`` tests the whole layer for every edge, where
-``fqec.connectivity.thickness_upper_bound`` skips the tests whose answer is
+``greedy_layers`` tests the whole layer for every edge, where
+``fqec.connectivity._planar_layers`` skips the tests whose answer is
 known.  ``naive_validate`` translates one ``PauliWord`` per generator pair
 and shift, slot by slot, and asks the Majorana algebra for each parity,
 where ``fqec.encoding.validate`` reads each pair's parities from its
@@ -424,32 +424,32 @@ def search_candidates(
 # Plain greedy thickness (one planarity test of the whole layer per edge)
 
 
-def greedy_thickness(g) -> int:
-    """Layer count of ``fqec.connectivity.thickness_upper_bound``'s greedy.
+def greedy_layers(g) -> list[list[tuple]]:
+    """Edge lists of the layers of ``fqec.connectivity._planar_layers``.
 
     Every edge, in sorted order, is added to an ``nx.Graph`` layer and kept
     iff ``nx.check_planarity`` accepts the whole layer; the deferred edges
     seed the next layer.
     """
     remaining = sorted(g.edges)
-    if not remaining:
-        return 1  # edgeless graphs are planar
-    layers = 0
+    layers = []
     while remaining:
         layer = nx.Graph()
-        deferred = []
+        kept, deferred = [], []
         for u, v in remaining:
             layer.add_edge(u, v)
             ok, _ = nx.check_planarity(layer)
-            if not ok:
+            if ok:
+                kept.append((u, v))
+            else:
                 layer.remove_edge(u, v)
                 if layer.degree(u) == 0:
                     layer.remove_node(u)
                 if layer.degree(v) == 0:
                     layer.remove_node(v)
                 deferred.append((u, v))
+        layers.append(kept)
         remaining = deferred
-        layers += 1
     return layers
 
 

@@ -2,6 +2,7 @@
 
 import json
 import os
+import pathlib
 import subprocess
 import sys
 
@@ -383,18 +384,16 @@ class TestFreshProcesses:
     output may depend on the iteration order of a str-keyed set or dict."""
 
     @staticmethod
-    def run_cli(tmp_path, command, cfg, hash_seed):
-        out = tmp_path / f"{command}{hash_seed}.jsonl"
-        front = tmp_path / f"{command}{hash_seed}.front.jsonl"
+    def run_cli(tmp_path, args, output_flags, hash_seed):
+        outs = [tmp_path / f"{args[0]}{hash_seed}{flag}" for flag in output_flags]
         src = os.path.dirname(os.path.dirname(os.path.abspath(fqec.__file__)))
         env = dict(os.environ, PYTHONHASHSEED=str(hash_seed))
         env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-        proc = subprocess.run(
-            [sys.executable, "-m", "fqec.cli", command, cfg, "--output", str(out),
-             "--front-output", str(front), "--w-max", "3"],
-            env=env, capture_output=True, check=False,
-        )
-        return proc.returncode, proc.stdout, out.read_bytes(), front.read_bytes()
+        command = [sys.executable, "-m", "fqec.cli", *args]
+        for flag, out in zip(output_flags, outs):
+            command += [flag, str(out)]
+        proc = subprocess.run(command, env=env, capture_output=True, check=False)
+        return (proc.returncode, proc.stdout, *(out.read_bytes() for out in outs))
 
     @pytest.mark.parametrize("command", ["deform", "search"])
     def test_outputs_do_not_depend_on_the_hash_seed(self, tmp_path, command):
@@ -408,8 +407,31 @@ class TestFreshProcesses:
         else:
             cfg = write(tmp_path, "search.cfg", SEARCH_CONFIG)
             code = 2  # the node budget cuts the run
-        runs = [self.run_cli(tmp_path, command, cfg, seed) for seed in (0, 1)]
+        args = [command, cfg, "--w-max", "3"]
+        runs = [self.run_cli(tmp_path, args, ["--output", "--front-output"], seed) for seed in (0, 1)]
         assert runs[0] == runs[1]
         assert runs[0][0] == code
         assert runs[0][2] and runs[0][3]  # something streamed and a front
         assert json.loads(runs[0][1])["report"]["nodes"] > 0
+
+    @pytest.mark.parametrize("command", ["export", "graph"])
+    def test_thickness_does_not_depend_on_the_hash_seed(self, tmp_path, command):
+        # The greedy's layer cores and classes follow the iteration order of
+        # sets of str-keyed nodes; its accept/defer decisions must not.
+        names = ("d1_nn_square", "d2_nn_square", "nnn_rank4", "triangular_rank2")
+        if command == "export":
+            front = tmp_path / "front.jsonl"
+            docs = [pathlib.Path(DATA_DIR, f"{name}.json").read_text(encoding="utf-8") for name in names]
+            front.write_text("".join(docs), encoding="utf-8")
+            args = ["export", str(front), "--w-max", "3"]
+        else:
+            args = ["graph", os.path.join(DATA_DIR, "nnn_rank4.json"), "--format", "json"]
+        runs = [self.run_cli(tmp_path, [*args, "--hamiltonian", "1,1,4"], ["--output"], seed)
+                for seed in (0, 1)]
+        assert runs[0] == runs[1]
+        assert runs[0][0] == 0
+        if command == "export":
+            rows = runs[0][2].decode().splitlines()[1:]
+            assert [row.split(",")[-1] for row in rows] == ["4", "4", "6", "6"]
+        else:
+            assert json.loads(runs[0][2])["thickness_upper_bound"] == 6

@@ -11,6 +11,9 @@ from fqec import connectivity
 from fqec.connectivity import (
     ConnectivityGraph,
     _is_planar,
+    _layer_classes,
+    _planar_layers,
+    _planar_with_edge,
     build_graph,
     euler_thickness_bound,
     max_degree,
@@ -22,7 +25,7 @@ from fqec.connectivity import (
 from fqec.fermion import HamiltonianSpec
 
 from conftest import load_fixture
-from oracles import greedy_thickness
+from oracles import greedy_layers
 
 
 def graph_from_edges(edges):
@@ -165,14 +168,90 @@ def random_graph(rng):
     return graph_from_edges(edges)
 
 
+def graph_of(graph):
+    return graph_from_edges([(("q", a), ("q", b)) for a, b in graph.edges])
+
+
+def with_chords(graph, rng, most):
+    nodes = list(graph)
+    for _ in range(rng.randint(0, most)):
+        graph.add_edge(*rng.sample(nodes, 2))
+    return graph
+
+
+def series_parallel_with_chords(rng):
+    """A random series-parallel graph (each step subdivides an edge, adds a
+    two-edge path beside it or hangs a vertex on it), plus chords."""
+    graph = nx.Graph([(0, 1)])
+    for w in range(2, rng.randint(4, 24)):
+        a, b = rng.choice(list(graph.edges))
+        step = rng.random()
+        if step < 0.4:
+            graph.remove_edge(a, b)
+        if step < 0.8:
+            graph.add_edges_from([(a, w), (w, b)])
+        else:
+            graph.add_edge(rng.choice((a, b)), w)
+    return graph_of(with_chords(graph, rng, 5))
+
+
+def kuratowski_with_chords(rng):
+    """A subdivided K5 or K3,3 with pendant trees, plus chords."""
+    base = rng.choice((nx.complete_graph(5), nx.complete_bipartite_graph(3, 3)))
+    return graph_of(with_chords(subdivided(base, rng), rng, 4))
+
+
+def cubic_with_chords(rng):
+    graph = nx.random_regular_graph(3, 2 * rng.randint(2, 9), seed=rng.randrange(2**32))
+    return graph_of(with_chords(graph, rng, 5))
+
+
+def piece_kinds(classes):
+    """Count the pieces of one layer state by their number of attachments
+    (0 for a component with no core vertex), and the parallel pieces."""
+    core, piece, cls = classes
+    pieces = {id(members): cls[members[0]] for members in piece.values() if members}
+    per_class = Counter(pieces.values())
+    kinds = Counter(len(key) if key <= core.keys() else 0 for key in pieces.values())
+    kinds["parallel"] = sum(n for n in per_class.values() if n > 1)
+    return kinds
+
+
 class TestThicknessMatchesPlainGreedy:
-    """The skipped planarity tests never change an accept/defer decision."""
+    """The skipped planarity tests never change an accept/defer decision:
+    every layer's edge list is the plain greedy's."""
 
     def test_random_graphs(self):
         rng = random.Random(2024)
         for _ in range(300):
             g = random_graph(rng)
-            assert thickness_upper_bound(g) == greedy_thickness(g)
+            layers = greedy_layers(g)
+            assert _planar_layers(g) == layers
+            assert thickness_upper_bound(g) == max(len(layers), 1)
+
+    @pytest.mark.parametrize(
+        "family, count",
+        [(series_parallel_with_chords, 150), (kuratowski_with_chords, 100),
+         (cubic_with_chords, 100)],
+        ids=["series_parallel", "kuratowski", "cubic"],
+    )
+    def test_graph_families(self, monkeypatch, family, count):
+        # Each family reaches pieces with no, one and two attachments, and
+        # parallel pieces (two pieces with one class).
+        seen = Counter()
+        layer_classes = connectivity._layer_classes
+
+        def tallying(adj):
+            classes = layer_classes(adj)
+            seen.update(piece_kinds(classes))
+            return classes
+
+        monkeypatch.setattr(connectivity, "_layer_classes", tallying)
+        rng = random.Random(family.__name__)
+        for _ in range(count):
+            g = family(rng)
+            assert _planar_layers(g) == greedy_layers(g)
+        assert all(seen[kind] for kind in (0, 1, 2, "parallel")), seen
 
     @pytest.mark.parametrize(
         "name, expected",
@@ -180,9 +259,59 @@ class TestThicknessMatchesPlainGreedy:
          ("nnn_rank4", (6, 6)), ("triangular_rank2", (6, 6))],
     )
     def test_fixtures(self, name, expected):
-        for t_prime, layers in zip((0.0, 1.0), expected):
+        for t_prime, count in zip((0.0, 1.0), expected):
             g = fixture_graph(name, t_prime)
-            assert thickness_upper_bound(g) == greedy_thickness(g) == layers
+            layers = greedy_layers(g)
+            assert _planar_layers(g) == layers
+            assert thickness_upper_bound(g) == len(layers) == count
+
+
+class TestLayerClasses:
+    """The lemma of the module docstring against ``nx.check_planarity``, on
+    every non-adjacent pair of one component of random planar layers."""
+
+    def test_classes_decide_planarity(self):
+        rng = random.Random(31)
+        families = (series_parallel_with_chords, kuratowski_with_chords, cubic_with_chords)
+        pairs = Counter()
+        for i in range(30):
+            for layer in _planar_layers(families[i % 3](rng)):
+                adj = {}
+                for u, v in layer:
+                    adj.setdefault(u, set()).add(v)
+                    adj.setdefault(v, set()).add(u)
+                core, piece, cls = _layer_classes(adj)
+                for key in set(cls.values()):
+                    if key <= core.keys() and len(key) == 2:
+                        a, b = key
+                        assert b in core[a]  # two attachments are adjacent in the core
+                    assert len(key) <= 2 or not key <= core.keys()
+                graph = nx.Graph(layer)
+                answers = {}
+                for component in nx.connected_components(graph):
+                    for x, y in itertools.combinations(sorted(component), 2):
+                        if graph.has_edge(x, y):
+                            continue
+                        graph.add_edge(x, y)
+                        planar = nx.check_planarity(graph)[0]
+                        graph.remove_edge(x, y)
+                        cx, cy = cls[x], cls[y]
+                        if cx <= cy or cy <= cx:
+                            assert planar
+                            pairs["contained"] += 1
+                        else:
+                            assert _planar_with_edge(core, piece, adj, x, y) == planar
+                            pairs[planar] += 1
+                        assert answers.setdefault((cx, cy), planar) == planar
+                        answers[cy, cx] = planar
+                # A rejection holds for every pair whose classes contain its own.
+                for (a, b), planar in answers.items():
+                    if not planar:
+                        larger = [(c, d) for c, d in answers if a <= c and b <= d]
+                        assert not any(answers[key] for key in larger)
+                        pairs["larger"] += len(larger) > 1
+        assert min(pairs[key] for key in ("contained", False, True)) > 500, pairs
+        assert pairs["larger"] > 100, pairs
 
 
 class TestPlanarityCalls:
@@ -207,8 +336,8 @@ class TestPlanarityCalls:
     @pytest.mark.parametrize(
         # The plain greedy makes 137, 191, 1016 and 577 calls.
         "name, expected",
-        [("d1_nn_square", 71), ("d2_nn_square", 116), ("nnn_rank4", 743),
-         ("triangular_rank2", 407)],
+        [("d1_nn_square", 53), ("d2_nn_square", 84), ("nnn_rank4", 267),
+         ("triangular_rank2", 165)],
     )
     def test_fixture_counts(self, calls, name, expected):
         thickness_upper_bound(fixture_graph(name, 0.0))
