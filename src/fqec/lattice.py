@@ -280,13 +280,6 @@ def _pair_shifts(qubits_per_cell: int) -> tuple[tuple[int, ...], ...]:
     return tuple(map(tuple, rows))
 
 
-@lru_cache(maxsize=None)
-def _pair_shift_bits(qubits_per_cell: int) -> tuple[tuple[int, ...], ...]:
-    """``_pair_shifts`` made symmetric, with zeros on the diagonal."""
-    d, n = _pair_shifts(qubits_per_cell), qubits_per_cell * WINDOW * WINDOW
-    return tuple(tuple(d[p][q] | d[q][p] if p != q else 0 for q in range(n)) for p in range(n))
-
-
 def pair_parities(xa: int, za: int, xb: int, zb: int, qubits_per_cell: int) -> int:
     """Bitmask over ``ALL_SHIFTS`` indices: bit ``s`` is the parity of word a
     against word b's clipped translate by ``ALL_SHIFTS[s]``, which meets a
@@ -305,20 +298,4 @@ def pair_parities(xa: int, za: int, xb: int, zb: int, qubits_per_cell: int) -> i
             q = partners & -partners
             out ^= row[q.bit_length() - 1]
             partners ^= q
-    return out
-
-
-def self_parities(x: int, z: int, qubits_per_cell: int) -> int:
-    """``pair_parities(x, z, x, z)`` over unordered slot pairs: a slot meets
-    itself with commuting letters, and each pair of distinct same-local
-    slots whose letters anticommute flips ``s`` and ``-s``."""
-    table, out, seen, m = _pair_shift_bits(qubits_per_cell), 0, [], x | z
-    while m:
-        p = (m & -m).bit_length() - 1
-        m &= m - 1
-        row = table[p]
-        for q in seen:
-            if row[q] and (x >> p & z >> q ^ z >> p & x >> q) & 1:
-                out ^= row[q]
-        seen.append(p)
     return out

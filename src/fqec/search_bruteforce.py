@@ -13,24 +13,28 @@ is tried for the next generator when it passes:
   word's slots in ascending order, the first, second and third distinct
   letters ever placed on a local slot must be Z, X, Y in that order, which
   kills the single-qubit relabeling symmetry;
+* windowed commutation against its own clipped translates, at the
+  parities its level requires;
 * windowed commutation against every clipped translate of every assigned
   generator.
 
-Survivors then face, in order, windowed commutation against their own
-translates (read from pairs of their slots on one local: a window word's
-translate by s meets it only at such pairs s cells apart), the hopping
-caps and the stochastic gate.  The capped hops (the NN hop orbits of
-``fermion.term_orbits``, plus the NNN ones under ``nn+nnn``) are planned
-once per run: each orbit is checked at the level that assigns the last
-generator its words multiply, so a level that completes no hop skips the
-check.  The check measures the orbit on the assigned prefix's raw masks
-plus the candidate's, and builds no ``PauliWord`` or encoding.
+Survivors then face the hopping caps and the stochastic gate.  The capped
+hops (the NN hop orbits of ``fermion.term_orbits``, plus the NNN ones under
+``nn+nnn``) are planned once per run: each orbit is checked at the level
+that assigns the last generator its words multiply, so a level that
+completes no hop skips the check.  The check measures the orbit on the
+assigned prefix's raw masks plus the candidate's, and builds no
+``PauliWord`` or encoding.
 
 The words that pass the static checks form the level's universe, built
 once per run and indexed in enumeration order: by weight, then
 ``itertools.combinations`` support order, then ``itertools.product("XYZ")``
-letters, last slot fastest.  The search keeps each later level's domain as
-one int bitset over its universe.  Assigning a word ANDs every later domain
+letters, last slot fastest.  The search keeps each level's domain as one
+int bitset over its universe.  It starts as the self-commuting words, read
+from pairs of their slots on one local (a window word's translate by s
+meets it only at such pairs s cells apart), as that check depends on the
+word alone (node consistency: Mackworth, "Consistency in networks of
+relations", AI 8, 1977).  Assigning a word ANDs every later domain
 with the words whose parity against each translate of it is the required
 one (forward checking: Haralick & Elliott, "Increasing tree search
 efficiency for constraint satisfaction problems", AI 14, 1980).  Activation
@@ -43,11 +47,11 @@ The whole tree is walked by one depth-first search in one thread.  Each
 completion is validated, measured once, filtered, inserted into a Pareto
 front over (distance, max stabilizer weight, sigma_NN, sigma_NNN) and
 streamed as soon as it is found, by the pipeline the deform search shares.
-Every candidate of the first generator (every word that passes the checks
-above, whether or not it commutes with its own translates) starts its own
-RNG stream, derived from the seed and the candidate's index, so a
-stochastic run draws the same numbers below a given first generator
-whatever came before it.
+Every word of the first generator that passes the other checks above,
+whether or not it commutes with its own translates, takes an index in
+enumeration order, and each survivor starts its own RNG stream, derived
+from the seed and its index, so a stochastic run draws the same numbers
+below a given first generator whatever came before it.
 """
 
 from __future__ import annotations
@@ -263,6 +267,15 @@ def _slots(mask: int) -> Iterator[int]:
         mask ^= low
 
 
+def _set_bits(bitset: int) -> Iterator[int]:
+    """Positions of the set bits of a universe bitset, ascending."""
+    bits = bin(bitset)[:1:-1]
+    index = bits.find("1")
+    while index >= 0:
+        yield index
+        index = bits.find("1", index + 1)
+
+
 class _Universe:
     """Every word one generator level may take, before any path check.
 
@@ -274,7 +287,8 @@ class _Universe:
 
     * ``x_bits[slot]`` / ``z_bits[slot]``: words with an X (Z) component on
       ``slot``; the XOR of ``x_bits`` over a word's Z slots and ``z_bits``
-      over its X slots is the set of universe words anticommuting with it;
+      over its X slots is the set of universe words anticommuting with it,
+      and ``_self_commuting`` reads its slot pairs from them;
     * ``activation[k]``: words whose locals beyond the first k are k, k+1, ...;
     * ``normalization[local][s]``: words whose letters on ``local`` keep the
       introduction order when s letters (0 or 1) are already introduced
@@ -347,8 +361,28 @@ class _Universe:
         return x, z
 
 
+def _self_commuting(universe: _Universe, required: int, qpc: int) -> int:
+    """Bitset of the universe words whose parities against their own clipped
+    translates are ``required`` (a bitmask over ``ALL_SHIFTS`` indices): a
+    translate by s meets a window word only at its same-local slot pairs s
+    cells apart, each anticommuting pair flips s and -s, and a required bit
+    at a shift no pair spans, such as (0, 0), empties the bitset."""
+    shifts, x, z = lattice._pair_shifts(qpc), universe.x_bits, universe.z_bits
+    parity = [0] * len(lattice.ALL_SHIFTS)
+    for p in range(len(x)):
+        for q in range(p + qpc, len(x), qpc):
+            anti = (x[p] & z[q]) ^ (z[p] & x[q])
+            for bit in (shifts[p][q], shifts[q][p]):
+                parity[bit.bit_length() - 1] ^= anti
+    ok = universe.full
+    for s, par in enumerate(parity):
+        ok &= par if required >> s & 1 else ~par
+    return ok
+
+
 class _SearchContext:
-    """Per-run constants plus the mutable state of the depth-first search."""
+    """Per-run constants plus the mutable state of the depth-first search,
+    whose domains start as each level's self-commuting words."""
 
     def __init__(self, cfg: SearchConfig):
         self.cfg = cfg
@@ -384,36 +418,41 @@ class _SearchContext:
         # Mutable search state: the assigned prefix, each level's domain and
         # the letters introduced per local, with one undo entry per level.
         self.assigned: list[tuple[int, int]] = []
-        self.domains: list[int] = [u.full for u in self.universes]
+        self.domains: list[int] = [
+            _self_commuting(u, self.required[gi][gi], self.qpc)
+            for gi, u in enumerate(self.universes)
+        ]
         self.intro: list[int] = [0] * self.qpc
         self._undo: list[tuple[list[int], list[int]]] = []
 
+        # Level 0's RNG stream indices (module docstring): each survivor's
+        # rank among the level's words with self-commutation unchecked.
+        unfolded = self._ordered(0, self.universes[0].full)
+        kept = bin(unfolded & self.domains[0])[:1:-1]
+        self.root_index = [r for r, i in enumerate(_set_bits(unfolded)) if kept.startswith("1", i)]
+
     # -- candidate enumeration -------------------------------------------
 
-    def survivors(self, gi: int) -> Iterator[tuple[int, int]]:
-        """Words of level ``gi`` that pass activation order, letter
-        normalization and every windowed parity against the assigned prefix,
-        as (x, z) masks in universe order."""
+    def _ordered(self, gi: int, mask: int) -> int:
+        """``mask`` cut to level ``gi``'s activation order and normalization."""
         universe = self.universes[gi]
-        mask = self.domains[gi]
         active = sum(1 for count in self.intro if count)
         if active < self.qpc:
             mask &= universe.activation[active]
         for local, count in enumerate(self.intro):
             if count < 2:
                 mask &= universe.normalization[local][count]
-        bits = bin(mask)[:1:-1]
-        index = bits.find("1")
-        while index >= 0:
+        return mask
+
+    def survivors(self, gi: int) -> Iterator[tuple[int, int]]:
+        """Words of level ``gi``'s domain (self-commutation and every windowed
+        parity against the assigned prefix) that keep activation order and
+        letter normalization, as (x, z) masks in universe order."""
+        universe = self.universes[gi]
+        for index in _set_bits(self._ordered(gi, self.domains[gi])):
             yield universe.word(index)
-            index = bits.find("1", index + 1)
 
     # -- pruning checks ----------------------------------------------------
-
-    def self_commutation_ok(self, gi: int, x: int, z: int) -> bool:
-        """Windowed parities against its own clipped translates, read from its
-        same-local slot pairs (clipped slots never meet a window word)."""
-        return lattice.self_parities(x, z, self.qpc) == self.required[gi][gi]
 
     def assign(self, x: int, z: int) -> None:
         """Append a word to the prefix: filter every later domain by its
@@ -583,9 +622,7 @@ def brute_force_search(
                 if budget is not None and report.nodes >= budget:
                     report.truncated = True
                     return False
-                rng = random.Random(derive_subtree_seed(cfg.rng_seed, index))
-            if not ctx.self_commutation_ok(gi, x, z):
-                continue
+                rng = random.Random(derive_subtree_seed(cfg.rng_seed, ctx.root_index[index]))
             if not ctx.hop_caps_ok(gi, x, z):
                 continue
             if not stochastic_gate(cfg.acceptance_probability, rng):

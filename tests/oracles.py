@@ -15,8 +15,9 @@ where ``fqec.encoding.validate`` reads each pair's parities from its
 same-local slot pairs and compares them with a cached table.
 ``naive_self_commutation_ok`` builds every clipped translate of one word
 and asks the Majorana algebra for each parity, where
-``_SearchContext.self_commutation_ok`` reads pairs of the word's own slots
-and builds no translate.  ``naive_term_weights`` and
+``fqec.search_bruteforce._self_commuting`` builds a whole universe's
+bitset at once from the words anticommuting at each pair of its slots on
+one local.  ``naive_term_weights`` and
 ``naive_term_words`` measure the Hubbard terms name by name on
 ``PauliWord`` products, mirrors included, where ``fermion.term_orbits``
 lists each orbit once and ``fermion.term_masks`` multiplies raw masks.
@@ -27,9 +28,11 @@ image of a generator map over every relabeling (all q!·6^q of them) on
 dense letters, where ``fqec.lattice.canonical_relabel`` normalises each
 local's letters once and sorts.
 
-``commute_parity`` and ``hopping_pair`` are test helpers with no caller in
-``fqec``: the symplectic parity of two ``PauliWord``s, and a hop's two words
-read from ``fermion.term_orbits`` by name.
+``commute_parity``, ``hopping_pair`` and ``self_parities`` are test helpers
+with no caller in ``fqec``: the symplectic parity of two ``PauliWord``s, a
+hop's two words read from ``fermion.term_orbits`` by name, and one raw
+word's parities against its own clipped translates, read from its
+same-local slot pairs through the table ``pair_shift_bits``.
 """
 
 from __future__ import annotations
@@ -274,6 +277,29 @@ def naive_validate(enc: EncodingCandidate) -> list[Violation]:
                         )
                     )
     return violations
+
+
+@lru_cache(maxsize=None)
+def pair_shift_bits(qubits_per_cell: int) -> tuple[tuple[int, ...], ...]:
+    """``lattice._pair_shifts`` made symmetric, with zeros on the diagonal."""
+    d, n = lattice._pair_shifts(qubits_per_cell), qubits_per_cell * lattice.WINDOW**2
+    return tuple(tuple(d[p][q] | d[q][p] if p != q else 0 for q in range(n)) for p in range(n))
+
+
+def self_parities(x: int, z: int, qubits_per_cell: int) -> int:
+    """``lattice.pair_parities(x, z, x, z)`` over unordered slot pairs: a slot
+    meets itself with commuting letters, and each pair of distinct
+    same-local slots whose letters anticommute flips ``s`` and ``-s``."""
+    table, out, seen, m = pair_shift_bits(qubits_per_cell), 0, [], x | z
+    while m:
+        p = (m & -m).bit_length() - 1
+        m &= m - 1
+        row = table[p]
+        for q in seen:
+            if row[q] and (x >> p & z >> q ^ z >> p & x >> q) & 1:
+                out ^= row[q]
+        seen.append(p)
+    return out
 
 
 @lru_cache(maxsize=None)

@@ -12,7 +12,6 @@ from fqec.lattice import (
     EdgeSet,
     Scheme,
     UnitCellLayout,
-    _pair_shift_bits,
     _shift_tables,
     canonical_relabel,
     cell_of,
@@ -20,7 +19,6 @@ from fqec.lattice import (
     edge_set_from_name,
     pair_parities,
     scheme_from_name,
-    self_parities,
     slot_of,
     translate_word,
 )
@@ -30,9 +28,11 @@ from oracles import (
     commute_parity,
     dense_words,
     masks_of,
+    pair_shift_bits,
     relabel_class,
     relabel_letters,
     relabelings,
+    self_parities,
     translate_word_clipped,
 )
 
@@ -144,7 +144,7 @@ class TestPairShiftBits:
     @pytest.mark.parametrize("qpc", [1, 2, 3])
     def test_bits_are_the_shifts_that_map_one_slot_onto_the_other(self, qpc):
         layout = UnitCellLayout(qpc, Scheme.TWO_GRIDS, EdgeSet.NN_SQUARE)
-        table = _pair_shift_bits(qpc)
+        table = pair_shift_bits(qpc)
         maps = _shift_tables(qpc)
         negated = [ALL_SHIFTS.index((-dx, -dy)) for dx, dy in ALL_SHIFTS]
         n = layout.n_slots

@@ -1,5 +1,6 @@
 """Brute-force search: pruning rules, Pareto front, determinism."""
 
+import dataclasses
 import itertools
 import random
 
@@ -15,13 +16,19 @@ from fqec.search_bruteforce import (
     SearchConfig,
     _SearchContext,
     _Universe,
+    _self_commuting,
     brute_force_search,
     derive_subtree_seed,
     dominates,
     stochastic_gate,
 )
 from fqec.symplectic import PauliWord
-from oracles import naive_min_distance, naive_self_commutation_ok, search_candidates
+from oracles import (
+    naive_min_distance,
+    naive_self_commutation_ok,
+    search_candidates,
+    self_parities,
+)
 
 QPC1 = UnitCellLayout(1, Scheme.TWO_GRIDS, EdgeSet.NN_SQUARE)
 QPC2 = UnitCellLayout(2, Scheme.TWO_GRIDS, EdgeSet.NN_SQUARE)
@@ -193,13 +200,17 @@ class TestCandidateEngine:
         def walk(gi):
             survivors = list(ctx.survivors(gi))
             prefix = [PauliWord(x, z, layout.n_slots) for x, z in ctx.assigned]
-            expected = search_candidates(layout, vertex_cap, edge_cap, prefix)
-            assert survivors == [(w.x_mask, w.z_mask) for w in expected], (gi, prefix)
+            expected = [
+                (w.x_mask, w.z_mask)
+                for w in search_candidates(layout, vertex_cap, edge_cap, prefix)
+                if naive_self_commutation_ok(layout, ctx.gen_order[gi], w)
+            ]
+            assert survivors == expected, (gi, prefix)
             walked["levels"] += 1
             for x, z in survivors:
                 if walked["nodes"] >= cfg.node_budget:
                     return False
-                if not (ctx.self_commutation_ok(gi, x, z) and ctx.hop_caps_ok(gi, x, z)):
+                if not ctx.hop_caps_ok(gi, x, z):
                     continue
                 walked["nodes"] += 1
                 ctx.assign(x, z)
@@ -210,8 +221,10 @@ class TestCandidateEngine:
                 ctx.unassign()
             return True
 
-        walk(0)
-        assert (walked["nodes"], walked["completions"]) == (report.nodes, report.completions)
+        truncated = not walk(0)
+        assert (walked["nodes"], walked["completions"], truncated) == (
+            report.nodes, report.completions, report.truncated,
+        )
         assert walked["levels"] > 1
 
 
@@ -227,23 +240,34 @@ def _layout_id(layout):
     return f"{layout.scheme.value}-{layout.edge_set.value}-q{layout.qubits_per_cell}"
 
 
+def _index_of(universe, word):
+    """Universe index of a word: its support's block offset plus its letters
+    read as base-3 digits in ``itertools.product("XYZ")`` order."""
+    support = tuple(word.support_slots())
+    r = 0
+    for slot in support:
+        r = 3 * r + "XYZ".index(word.letter(slot))
+    return universe.offsets[universe.supports.index(support)] + r
+
+
 class TestSelfCommutationKernel:
-    """The slot-pair self-commutation check equals a translate-by-translate oracle."""
+    """Each level's self-commutation bitset equals a translate-by-translate oracle."""
 
     @pytest.mark.parametrize("layout", ALL_LAYOUTS, ids=_layout_id)
     def test_every_cap2_word_matches_oracle(self, layout):
         ctx = _SearchContext(SearchConfig(layout, 2, 2))
         for gi, (gen, universe) in enumerate(zip(ctx.gen_order, ctx.universes)):
+            commuting = ctx.domains[gi]
             for index in range(universe.full.bit_length()):
                 x, z = universe.word(index)
                 word = PauliWord(x, z, layout.n_slots)
-                assert ctx.self_commutation_ok(gi, x, z) == naive_self_commutation_ok(
+                assert bool(commuting >> index & 1) == naive_self_commutation_ok(
                     layout, gen, word
                 ), (gen.name, word)
 
     @pytest.mark.parametrize("qpc", [1, 2, 3])
     def test_sampled_cap4_words_match_oracle(self, qpc):
-        # The kernel depends on the layout only through qubits per cell and
+        # The bitset depends on the layout only through qubits per cell and
         # each level's required row, which the cap-2 test covers for every
         # level.  So each cap-4 word set (fixed by the cells a generator must
         # touch) is sampled once, and its words are spread over the levels of
@@ -262,14 +286,15 @@ class TestSelfCommutationKernel:
         for cells, levels in sorted(users.items()):
             layout = levels[0][0].layout
             universe = _Universe(layout, tuple(_cell_mask(layout, c) for c in cells), 4)
+            bitsets = [_self_commuting(universe, ctx.required[gi][gi], qpc) for ctx, gi in levels]
             rng = random.Random(f"{qpc}:{cells}")
             size = universe.full.bit_length()
             indices = rng.sample(range(size), min(size, 3000))
             for k, index in enumerate(indices):
-                ctx, gi = levels[k % len(levels)]
+                (ctx, gi), commuting = levels[k % len(levels)], bitsets[k % len(levels)]
                 x, z = universe.word(index)
                 word = PauliWord(x, z, layout.n_slots)
-                assert ctx.self_commutation_ok(gi, x, z) == naive_self_commutation_ok(
+                assert bool(commuting >> index & 1) == naive_self_commutation_ok(
                     ctx.layout, ctx.gen_order[gi], word
                 ), (_layout_id(ctx.layout), ctx.gen_order[gi].name, word)
 
@@ -282,7 +307,7 @@ class TestSelfCommutationKernel:
     def test_hand_cases_on_one_local(self, letters, ok, cells):
         # Two letters on local 0, one or two cells apart, and a Z on local 1
         # of the centre cell that anchors the word and meets no translate.
-        ctx = _SearchContext(SearchConfig(QPC2, 2, 2))
+        ctx = _SearchContext(SearchConfig(QPC2, 3, 2))
         vertex = [g.name for g in ctx.gen_order].index("vertex:0")
         word = (
             PauliWord.identity(QPC2.n_slots)
@@ -290,7 +315,9 @@ class TestSelfCommutationKernel:
             .with_letter(slot_of(cells[1], 0, QPC2), letters[1])
             .with_letter(slot_of(CENTER, 1, QPC2), "Z")
         )
-        assert ctx.self_commutation_ok(vertex, word.x_mask, word.z_mask) is ok
+        index = _index_of(ctx.universes[vertex], word)
+        assert ctx.universes[vertex].word(index) == (word.x_mask, word.z_mask)
+        assert bool(ctx.domains[vertex] >> index & 1) is ok
         assert naive_self_commutation_ok(QPC2, ctx.gen_order[vertex], word) is ok
 
     def test_pair_parities_flip_both_signs_of_the_shift(self):
@@ -302,12 +329,80 @@ class TestSelfCommutationKernel:
             .with_letter(slot_of(CENTER, 0, QPC2), "X")
             .with_letter(slot_of((2, 1), 0, QPC2), "Z")
         )
-        bits = lattice.self_parities(word.x_mask, word.z_mask, 2)
+        bits = self_parities(word.x_mask, word.z_mask, 2)
         assert [ALL_SHIFTS[s] for s in range(len(ALL_SHIFTS)) if bits >> s & 1] == [
             (-1, 0), (1, 0),
         ]
         right = [g.name for g in ctx.gen_order].index("edge-right:0")
-        assert ctx.self_commutation_ok(right, word.x_mask, word.z_mask)
+        assert ctx.domains[right] >> _index_of(ctx.universes[right], word) & 1
+
+
+def _reference_budget_checks(cfg):
+    """Walk the whole tree with self-commutation checked word by word, after
+    the budget check at level 0, and list (nodes, completions) at every
+    budget check; also return the final (nodes, completions).
+
+    A run at budget b stops at the first check that finds b nodes: the walk
+    up to that check does not depend on the budget."""
+    ctx = _SearchContext(cfg)
+    ctx.domains = [u.full for u in ctx.universes]  # no self-commutation in the domains
+    qpc, n_levels = cfg.layout.qubits_per_cell, len(ctx.gen_order)
+    checks, count = [], {"nodes": 0, "completions": 0}
+
+    def walk(gi, rng):
+        for index, (x, z) in enumerate(ctx.survivors(gi)):
+            if gi == 0:
+                checks.append((count["nodes"], count["completions"]))
+                rng = random.Random(derive_subtree_seed(cfg.rng_seed, index))
+            if self_parities(x, z, qpc) != ctx.required[gi][gi]:
+                continue
+            if not ctx.hop_caps_ok(gi, x, z):
+                continue
+            if not stochastic_gate(cfg.acceptance_probability, rng):
+                continue
+            checks.append((count["nodes"], count["completions"]))
+            count["nodes"] += 1
+            ctx.assign(x, z)
+            if gi + 1 == n_levels:
+                count["completions"] += 1
+            else:
+                walk(gi + 1, rng)
+            ctx.unassign()
+
+    walk(0, None)
+    return checks, (count["nodes"], count["completions"])
+
+
+class TestBudgetSweep:
+    """Budgeted runs cut where a walk that checks self-commutation word by
+    word, and the budget before every level-0 word, cuts."""
+
+    @pytest.mark.parametrize(
+        "layout, caps, budgets",
+        [(QPC1, (3, 4), range(1, 80)), (QPC2, (3, 2), range(1, 401, 3))],
+        ids=["qpc1", "qpc2"],
+    )
+    def test_counters_match_reference_walk(self, layout, caps, budgets):
+        cfg = SearchConfig(layout, *caps, acceptance_probability=0.8, rng_seed=3)
+        checks, (nodes, completions) = _reference_budget_checks(cfg)
+        assert 1 < nodes < budgets[-1]  # budgets on both sides of the whole tree
+        for budget in budgets:
+            _, report = run_search(dataclasses.replace(cfg, node_budget=budget))
+            cut = next(((n, c, True) for n, c in checks if n >= budget), None)
+            assert (report.nodes, report.completions, report.truncated) == (
+                cut or (nodes, completions, False)
+            ), budget
+
+    @pytest.mark.parametrize("layout", ALL_LAYOUTS, ids=_layout_id)
+    def test_last_level0_word_survives(self, layout):
+        # The search checks the budget before each level-0 survivor only.  A
+        # word that fails self-commutation would see the same node count as
+        # the next survivor, and one always follows it: the last level-0
+        # word is all Z, which commutes with its translates as a vertex must.
+        ctx = _SearchContext(SearchConfig(layout, 2, 2))
+        unfolded = ctx._ordered(0, ctx.universes[0].full)
+        x, z = ctx.universes[0].word(unfolded.bit_length() - 1)
+        assert x == 0 and ctx.domains[0] >> unfolded.bit_length() - 1 & 1
 
 
 class TestSearchSoundness:
