@@ -164,23 +164,31 @@ def validate(enc: EncodingCandidate) -> list[Violation]:
     return violations
 
 
+@lru_cache(maxsize=None)
+def _cycle_instances(layout: UnitCellLayout) -> tuple[tuple[fermion.Instance, ...], ...]:
+    """The edge instances around each cycle of ``stabilizer_cycles``."""
+    return tuple(
+        tuple(fermion._edge_instance(layout, v, w) for v, w in zip(cycle, cycle[1:]))
+        for cycle in stabilizer_cycles(layout)
+    )
+
+
 def derive_stabilizers(enc: EncodingCandidate) -> tuple[PauliWord, ...]:
     """Loop stabilizers of every plaquette orbit, anchored at the central cell.
 
-    Trivial (identity) loop images and exact duplicates are dropped, so
-    encodings whose loops multiply to the identity report no stabilizers.
+    Each multiplies its cycle's edge instances on raw masks.  Trivial
+    (identity) loop images and exact duplicates are dropped, so encodings
+    whose loops multiply to the identity report no stabilizers.
     """
+    layout, masks = enc.layout, fermion.generator_masks(enc)
     out: list[PauliWord] = []
     seen: set[tuple[int, int]] = set()
-    for cycle in stabilizer_cycles(enc.layout):
-        word = fermion.loop_stabilizer(cycle, enc)
-        if word.is_identity():
-            continue
-        key = (word.x_mask, word.z_mask)
-        if key in seen:
+    for instances in _cycle_instances(layout):
+        key = fermion._product_masks(instances, masks, layout.qubits_per_cell)
+        if not key[0] | key[1] or key in seen:
             continue
         seen.add(key)
-        out.append(word)
+        out.append(PauliWord(*key, layout.n_slots))
     return tuple(out)
 
 

@@ -311,10 +311,11 @@ def _product_masks(
     for dx, dy in _REANCHOR_ORDER:
         x = z = 0
         for gi, (sx, sy) in instances:
-            table = tables.get((sx + dx, sy + dy))
+            shift = (sx + dx, sy + dy)
+            table = tables.get(shift)
             if table is None:
                 break
-            moved = lattice._translate_masks(*masks[gi], table, False)
+            moved = masks[gi] if shift == (0, 0) else lattice._translate_masks(*masks[gi], table)
             if moved is None:
                 break
             x ^= moved[0]

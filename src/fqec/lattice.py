@@ -5,10 +5,10 @@ numbered in a snake pattern: row 0 runs left to right, odd rows are
 reversed, and slots within a cell are consecutive.  Translating a word by a
 cell shift remaps every supported slot; a shift that would push support off
 the window yields ``None`` (the shift is representable, the word is not).
-Commutation checks use clipped translates instead, which drop those slots;
-as a clipped translate by ``s`` meets a window word only at same-local slot
-pairs ``s`` cells apart, ``pair_parities`` reads two words' parities at
-every shift from those pairs without building a translate.
+Commutation checks use clipped translates instead, which drop those slots,
+and never build them: as a clipped translate by ``s`` meets a window word
+only at same-local slot pairs ``s`` cells apart, ``pair_parities`` reads two
+words' parities at every shift from those pairs.
 ``canonical_relabel`` keys a generator map by its class under relabeling
 of the cell-local qubits and their letters.
 
@@ -156,9 +156,7 @@ def _shift_tables(
     return tables
 
 
-def _translate_masks(
-    x: int, z: int, table: tuple[int, ...], clip: bool
-) -> tuple[int, int] | None:
+def _translate_masks(x: int, z: int, table: tuple[int, ...]) -> tuple[int, int] | None:
     nx = nz = 0
     m = x | z
     while m:
@@ -167,8 +165,6 @@ def _translate_masks(
         m ^= b
         dest = table[slot]
         if dest < 0:
-            if clip:
-                continue
             return None
         bit = 1 << dest
         if x & b:
@@ -187,24 +183,10 @@ def translate_word(
     table = _shift_tables(layout.qubits_per_cell).get(shift)
     if table is None:
         raise ValueError(f"shift {shift} outside +-{SHIFT_RANGE} per axis")
-    masks = _translate_masks(a.x_mask, a.z_mask, table, clip=False)
+    masks = _translate_masks(a.x_mask, a.z_mask, table)
     if masks is None:
         return None
     return PauliWord(masks[0], masks[1], a.n_slots)
-
-
-def clipped_translates(x: int, z: int, qubits_per_cell: int) -> list[tuple[int, int]]:
-    """Masks of a word translated by every shift in ``ALL_SHIFTS`` order, with
-    slots that leave the window dropped.
-
-    The clipped translate is exactly what windowed commutation checks need:
-    dropped slots cannot overlap any in-window operator, so parities against
-    window-supported words match the infinite-lattice values.
-    """
-    return [
-        _translate_masks(x, z, table, True)
-        for table in _shift_tables(qubits_per_cell).values()
-    ]
 
 
 @lru_cache(maxsize=None)

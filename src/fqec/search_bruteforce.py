@@ -26,22 +26,23 @@ completes no hop skips the check.  The check measures the orbit on the
 assigned prefix's raw masks plus the candidate's, and builds no
 ``PauliWord`` or encoding.
 
-The words that pass the static checks form the level's universe, built
-once per run and indexed in enumeration order: by weight, then
-``itertools.combinations`` support order, then ``itertools.product("XYZ")``
-letters, last slot fastest.  The search keeps each level's domain as one
-int bitset over its universe.  It starts as the self-commuting words, read
-from pairs of their slots on one local (a window word's translate by s
-meets it only at such pairs s cells apart), as that check depends on the
-word alone (node consistency: Mackworth, "Consistency in networks of
-relations", AI 8, 1977).  Assigning a word ANDs every later domain
-with the words whose parity against each translate of it is the required
-one (forward checking: Haralick & Elliott, "Increasing tree search
-efficiency for constraint satisfaction problems", AI 14, 1980).  Activation
-and normalization depend only on how many letters each local has
-introduced (0 to 3), so they are precomputed bitsets as well.  A level
-walks the set bits of its domain and those masks in ascending order, which
-is the enumeration order.
+The words that pass the static checks and self-commutation form the
+level's universe, built once per run and indexed in enumeration order: by
+weight, then ``itertools.combinations`` support order, then
+``itertools.product("XYZ")`` letters, last slot fastest.  Self-commutation
+depends on the word alone, so it is settled before the search (node
+consistency: Mackworth, "Consistency in networks of relations", AI 8,
+1977) from the pairs of a word's slots on one local, which are all that
+its translates meet.  The search keeps each level's domain as one int
+bitset over its universe, starting full.  Assigning a word ANDs every later
+domain with the words whose parity against each translate of it is the
+required one, read from the same-local slot pairs the translate meets
+(forward checking: Haralick & Elliott, "Increasing tree search efficiency
+for constraint satisfaction problems", AI 14, 1980).  Activation and
+normalization depend only on how many letters each local has introduced
+(0 to 3), so they are precomputed bitsets as well.  A level walks the set
+bits of its domain and those masks in ascending order, which is the
+enumeration order.
 
 The whole tree is walked by one depth-first search in one thread.  Each
 completion is validated, measured once, filtered, inserted into a Pareto
@@ -259,6 +260,52 @@ def _normalization_pattern(w: int, positions: tuple[int, ...], introduced: int) 
     return bytes(out)
 
 
+@lru_cache(maxsize=None)
+def _differ_pattern(w: int, i: int, j: int) -> int:
+    """Bitset over a weight-w block's letter choices: those whose letters at
+    support positions i and j differ, that is anticommute."""
+    return sum(
+        1 << r for r in range(3**w) if r // 3 ** (w - 1 - i) % 3 != r // 3 ** (w - 1 - j) % 3
+    )
+
+
+@lru_cache(maxsize=None)
+def _kept_choices(w: int, pairs: tuple[tuple[int, ...], ...], required: int) -> tuple[int, ...]:
+    """Letter choices of a weight-w block whose parities against their own
+    clipped translates are ``required`` (a bitmask over ``ALL_SHIFTS``
+    indices): a translate by s meets the word only at its same-local position
+    pairs (i, j, bits of s and -s), and a required bit at a shift no pair
+    spans, such as (0, 0), empties the block."""
+    parity: dict[int, int] = {}
+    for i, j, bits in pairs:
+        for bit in _slots(bits):
+            parity[bit] = parity.get(bit, 0) ^ _differ_pattern(w, i, j)
+    kept = (1 << 3**w) - 1
+    for s in _slots(required):
+        kept &= parity.pop(s, 0)
+    for par in parity.values():
+        kept ^= kept & par
+    return tuple(_set_bits(kept))
+
+
+def _root_pattern(support: tuple[int, ...], qpc: int) -> bytes:
+    """'1' for each word of a support's full block that keeps activation
+    order and letter normalization at the root, where no letter is placed:
+    the bytewise min ('0' < '1') of those patterns is their AND."""
+    w, used = len(support), sorted({slot % qpc for slot in support})
+    active = b"1" if used == list(range(len(used))) else b"0"
+    return bytes(map(min, active * 3**w, *(
+        _normalization_pattern(w, tuple(p for p, s in enumerate(support) if s % qpc == local), 0)
+        for local in used
+    )))
+
+
+@lru_cache(maxsize=None)
+def _cut(pattern: bytes, kept: tuple[int, ...]) -> bytes:
+    """A block pattern cut to its kept letter choices."""
+    return bytes(pattern[r] for r in kept)
+
+
 def _slots(mask: int) -> Iterator[int]:
     """Positions of the set bits of a window mask, ascending."""
     while mask:
@@ -279,79 +326,83 @@ def _set_bits(bitset: int) -> Iterator[int]:
 class _Universe:
     """Every word one generator level may take, before any path check.
 
-    The words pass the static checks (anchoring and the weight cap) and are
-    indexed in enumeration order: by weight, then ``itertools.combinations``
-    support order, then ``itertools.product("XYZ")`` letters with the last
-    slot varying fastest.  Only the supports and their block offsets are
-    stored; ``word`` decodes an index.  The bitsets over the indices are:
+    The words pass the static checks (anchoring and the weight cap) and
+    have the level's ``required`` parities against their own clipped
+    translates; only these self-commuting words are indexed, in enumeration
+    order: by weight, then ``itertools.combinations`` support order, then
+    ``itertools.product("XYZ")`` letters with the last slot varying fastest.
+    Only the anchored supports, their block offsets and each block's kept
+    letter choices are stored; ``word`` decodes an index.  The bitsets over
+    the indices are:
 
     * ``x_bits[slot]`` / ``z_bits[slot]``: words with an X (Z) component on
       ``slot``; the XOR of ``x_bits`` over a word's Z slots and ``z_bits``
-      over its X slots is the set of universe words anticommuting with it,
-      and ``_self_commuting`` reads its slot pairs from them;
+      over its X slots is the set of universe words anticommuting with it;
     * ``activation[k]``: words whose locals beyond the first k are k, k+1, ...;
     * ``normalization[local][s]``: words whose letters on ``local`` keep the
       introduction order when s letters (0 or 1) are already introduced
       there; once Z and X are, every letter is allowed.
     """
 
-    def __init__(self, layout: UnitCellLayout, cell_masks: tuple[int, ...], cap: int):
+    def __init__(
+        self, layout: UnitCellLayout, cell_masks: tuple[int, ...], cap: int, required: int
+    ):
         n, qpc = layout.n_slots, layout.qubits_per_cell
+        shifts = lattice._pair_shifts(qpc)
         self.supports: list[tuple[int, ...]] = []
         self.offsets: list[int] = []
+        self.choices: list[tuple[int, ...]] = []
         size = 0
         for w in range(1, cap + 1):
             for support in itertools.combinations(range(n), w):
                 mask = 0
                 for slot in support:
                     mask |= 1 << slot
-                if all(mask & required for required in cell_masks):
+                if all(mask & cell for cell in cell_masks):
+                    pairs = tuple(
+                        (i, j, shifts[p][q] | shifts[q][p])
+                        for (i, p), (j, q) in itertools.combinations(enumerate(support), 2)
+                        if (q - p) % qpc == 0
+                    )
                     self.supports.append(support)
                     self.offsets.append(size)
-                    size += 3**w
+                    self.choices.append(_kept_choices(w, pairs, required))
+                    size += len(self.choices[-1])
         self.full = (1 << size) - 1
 
-        def bitset(pattern: Callable[[tuple[int, ...]], bytes]) -> int:
-            """Bitset whose bits over each support's block are ``pattern(support)``."""
-            chars = b"".join(pattern(support) for support in self.supports)
-            return int(chars[::-1], 2) if chars else 0
+        x_rows, z_rows = [[bytearray(b"0" * size) for _ in range(n)] for _ in range(2)]
+        act_rows = [bytearray(b"0" * size) for _ in range(qpc)]
+        norm_rows = [[bytearray(b"0" * size) for _ in range(2)] for _ in range(qpc)]
+        for support, start, kept in zip(self.supports, self.offsets, self.choices):
+            if not kept:
+                continue
+            w, end = len(support), start + len(kept)
+            for pos, slot in enumerate(support):
+                x_rows[slot][start:end] = _cut(_component_pattern(w, pos, 0), kept)
+                z_rows[slot][start:end] = _cut(_component_pattern(w, pos, 1), kept)
+            used = sorted({slot % qpc for slot in support})
+            for k in range(qpc):
+                new = [local for local in used if local >= k]
+                if new == list(range(k, k + len(new))):
+                    act_rows[k][start:end] = b"1" * len(kept)
+            for local in range(qpc):
+                positions = tuple(p for p, slot in enumerate(support) if slot % qpc == local)
+                for introduced in range(2):
+                    pattern = _normalization_pattern(w, positions, introduced)
+                    norm_rows[local][introduced][start:end] = _cut(pattern, kept)
 
-        def component_bits(slot: int, component: int) -> int:
-            return bitset(
-                lambda support: _component_pattern(len(support), support.index(slot), component)
-                if slot in support
-                else b"0" * 3 ** len(support)
-            )
+        def bitset(row: bytearray) -> int:
+            return int(row[::-1], 2) if size else 0
 
-        def activation_bits(k: int) -> int:
-            def pattern(support: tuple[int, ...]) -> bytes:
-                new = sorted({slot % qpc for slot in support if slot % qpc >= k})
-                ok = new == list(range(k, k + len(new)))
-                return (b"1" if ok else b"0") * 3 ** len(support)
-
-            return bitset(pattern)
-
-        def normalization_bits(local: int, introduced: int) -> int:
-            return bitset(
-                lambda support: _normalization_pattern(
-                    len(support),
-                    tuple(p for p, slot in enumerate(support) if slot % qpc == local),
-                    introduced,
-                )
-            )
-
-        self.x_bits = [component_bits(slot, 0) for slot in range(n)]
-        self.z_bits = [component_bits(slot, 1) for slot in range(n)]
-        self.activation = [activation_bits(k) for k in range(qpc)]
-        self.normalization = [
-            [normalization_bits(local, introduced) for introduced in range(2)]
-            for local in range(qpc)
-        ]
+        self.x_bits = [bitset(row) for row in x_rows]
+        self.z_bits = [bitset(row) for row in z_rows]
+        self.activation = [bitset(row) for row in act_rows]
+        self.normalization = [[bitset(row) for row in rows] for rows in norm_rows]
 
     def word(self, index: int) -> tuple[int, int]:
         """(x, z) masks of the word at ``index``."""
         block = bisect.bisect_right(self.offsets, index) - 1
-        r = index - self.offsets[block]
+        r = self.choices[block][index - self.offsets[block]]
         x = z = 0
         for slot in reversed(self.supports[block]):
             r, digit = divmod(r, 3)
@@ -361,28 +412,10 @@ class _Universe:
         return x, z
 
 
-def _self_commuting(universe: _Universe, required: int, qpc: int) -> int:
-    """Bitset of the universe words whose parities against their own clipped
-    translates are ``required`` (a bitmask over ``ALL_SHIFTS`` indices): a
-    translate by s meets a window word only at its same-local slot pairs s
-    cells apart, each anticommuting pair flips s and -s, and a required bit
-    at a shift no pair spans, such as (0, 0), empties the bitset."""
-    shifts, x, z = lattice._pair_shifts(qpc), universe.x_bits, universe.z_bits
-    parity = [0] * len(lattice.ALL_SHIFTS)
-    for p in range(len(x)):
-        for q in range(p + qpc, len(x), qpc):
-            anti = (x[p] & z[q]) ^ (z[p] & x[q])
-            for bit in (shifts[p][q], shifts[q][p]):
-                parity[bit.bit_length() - 1] ^= anti
-    ok = universe.full
-    for s, par in enumerate(parity):
-        ok &= par if required >> s & 1 else ~par
-    return ok
-
-
 class _SearchContext:
     """Per-run constants plus the mutable state of the depth-first search,
-    whose domains start as each level's self-commuting words."""
+    whose domains start as each level's whole universe and are cut by
+    forward checks read from same-local slot pairs."""
 
     def __init__(self, cfg: SearchConfig):
         self.cfg = cfg
@@ -391,10 +424,18 @@ class _SearchContext:
         self.n = layout.n_slots
         self.qpc = layout.qubits_per_cell
         self.gen_order = generator_ids(layout)
+        self.required = required_parity_table(layout)
+        # partners[p]: (s, q) for each slot q on p's local, where a translate
+        # by ALL_SHIFTS[s] moves p to q.
+        shifts = lattice._pair_shifts(self.qpc)
+        self.partners = [
+            [(shifts[q][p].bit_length() - 1, q) for q in range(p % self.qpc, self.n, self.qpc)]
+            for p in range(self.n)
+        ]
 
         center_mask = _cell_mask(layout, CENTER)
         self.universes: list[_Universe] = []
-        for gen in self.gen_order:
+        for gi, gen in enumerate(self.gen_order):
             if gen.kind is GeneratorKind.VERTEX:
                 masks: tuple[int, ...] = (center_mask,)
                 cap = cfg.max_vertex_weight
@@ -403,9 +444,7 @@ class _SearchContext:
                 far_mask = _cell_mask(layout, (CENTER[0] + off[0], CENTER[1] + off[1]))
                 masks = (center_mask,) if far_mask == center_mask else (center_mask, far_mask)
                 cap = cfg.max_edge_or_hopping_weight
-            self.universes.append(_Universe(layout, masks, cap))
-
-        self.required = required_parity_table(layout)
+            self.universes.append(_Universe(layout, masks, cap, self.required[gi][gi]))
 
         # Each capped hop orbit sits at the level of its last generator.
         cap_nnn = cfg.hopping_cap_mode is HoppingCapMode.NN_AND_NNN
@@ -418,18 +457,22 @@ class _SearchContext:
         # Mutable search state: the assigned prefix, each level's domain and
         # the letters introduced per local, with one undo entry per level.
         self.assigned: list[tuple[int, int]] = []
-        self.domains: list[int] = [
-            _self_commuting(u, self.required[gi][gi], self.qpc)
-            for gi, u in enumerate(self.universes)
-        ]
+        self.domains: list[int] = [u.full for u in self.universes]
         self.intro: list[int] = [0] * self.qpc
         self._undo: list[tuple[list[int], list[int]]] = []
 
         # Level 0's RNG stream indices (module docstring): each survivor's
-        # rank among the level's words with self-commutation unchecked.
-        unfolded = self._ordered(0, self.universes[0].full)
-        kept = bin(unfolded & self.domains[0])[:1:-1]
-        self.root_index = [r for r, i in enumerate(_set_bits(unfolded)) if kept.startswith("1", i)]
+        # rank among the level's words that keep activation order and
+        # normalization at the root, self-commutation unchecked, counted per
+        # block from the full-block patterns.
+        self.root_index: list[int] = []
+        root, before = self.universes[0], 0
+        for support, kept in zip(root.supports, root.choices):
+            pattern = _root_pattern(support, self.qpc)
+            self.root_index += [
+                before + pattern.count(b"1", 0, r) for r in kept if pattern[r] == ord("1")
+            ]
+            before += pattern.count(b"1")
 
     # -- candidate enumeration -------------------------------------------
 
@@ -460,19 +503,25 @@ class _SearchContext:
         gi = len(self.assigned)
         self._undo.append((self.domains, self.intro))
         domains = self.domains[:]
-        translates = lattice.clipped_translates(x, z, self.qpc)
+        zs, xs = [], []  # (shift, slot) pairs met by the word's Z and X parts
+        for p in _slots(x | z):
+            if z >> p & 1:
+                zs += self.partners[p]
+            if x >> p & 1:
+                xs += self.partners[p]
         for li in range(gi + 1, len(self.universes)):
             universe = self.universes[li]
+            anti = [0] * len(lattice.ALL_SHIFTS)
+            for s, q in zs:
+                anti[s] ^= universe.x_bits[q]
+            for s, q in xs:
+                anti[s] ^= universe.z_bits[q]
             domain, required = domains[li], self.required[li][gi]
-            for s, (tx, tz) in enumerate(translates):
-                if not domain:
-                    break
-                anti = 0
-                for slot in _slots(tz):
-                    anti ^= universe.x_bits[slot]
-                for slot in _slots(tx):
-                    anti ^= universe.z_bits[slot]
-                domain = domain & anti if required >> s & 1 else domain & ~anti
+            for s, par in enumerate(anti):
+                if required >> s & 1:
+                    domain &= par
+                elif par:
+                    domain ^= domain & par
             domains[li] = domain
         intro = self.intro[:]
         for slot in _slots(x | z):

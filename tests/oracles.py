@@ -15,12 +15,13 @@ where ``fqec.encoding.validate`` reads each pair's parities from its
 same-local slot pairs and compares them with a cached table.
 ``naive_self_commutation_ok`` builds every clipped translate of one word
 and asks the Majorana algebra for each parity, where
-``fqec.search_bruteforce._self_commuting`` builds a whole universe's
-bitset at once from the words anticommuting at each pair of its slots on
-one local.  ``naive_term_weights`` and
-``naive_term_words`` measure the Hubbard terms name by name on
-``PauliWord`` products, mirrors included, where ``fermion.term_orbits``
-lists each orbit once and ``fermion.term_masks`` multiplies raw masks.
+``fqec.search_bruteforce._Universe`` keeps a whole support's
+self-commuting letter choices at once, read from the choices whose
+letters differ at each pair of its positions on one local.
+``naive_term_weights`` and ``naive_term_words`` measure the Hubbard terms
+name by name on ``PauliWord`` products, mirrors included, where
+``fermion.term_orbits`` lists each orbit once and ``fermion.term_masks``
+multiplies raw masks.
 ``apply_gate_letters`` applies a replicated Clifford gate letter by letter
 and reads clipping from cell coordinates, where ``search_clifford`` works on
 raw masks with per-gate slot tables.  ``relabel_class`` takes the least

@@ -15,7 +15,6 @@ from fqec.lattice import (
     _shift_tables,
     canonical_relabel,
     cell_of,
-    clipped_translates,
     edge_set_from_name,
     pair_parities,
     scheme_from_name,
@@ -111,17 +110,6 @@ class TestTranslate:
         clipped = translate_word_clipped(w, (1, 0), LAYOUT1)
         assert clipped.letter(slot_of((2, 1), 0, LAYOUT1)) == "X"
         assert weight(clipped) == 1
-
-    def test_clipped_translates_match_oracle(self):
-        rng = random.Random(8)
-        layout3 = UnitCellLayout(3, Scheme.TWO_GRIDS, EdgeSet.NN_SQUARE)
-        for layout in (LAYOUT1, layout3, LAYOUT6):
-            n = layout.n_slots
-            for _ in range(20):
-                w = PauliWord(rng.getrandbits(n), rng.getrandbits(n), n)
-                got = clipped_translates(w.x_mask, w.z_mask, layout.qubits_per_cell)
-                want = [translate_word_clipped(w, shift, layout) for shift in ALL_SHIFTS]
-                assert got == [(t.x_mask, t.z_mask) for t in want]
 
     def test_weight_preserved_when_in_window(self):
         rng = random.Random(6)

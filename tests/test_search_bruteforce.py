@@ -1,5 +1,6 @@
 """Brute-force search: pruning rules, Pareto front, determinism."""
 
+import bisect
 import dataclasses
 import itertools
 import random
@@ -8,15 +9,16 @@ import pytest
 
 from fqec import lattice
 from fqec.encoding import EncodingCandidate, _cell_mask, validate
-from fqec.fermion import GeneratorKind, far_cell_offset, generator_ids
-from fqec.lattice import ALL_SHIFTS, CENTER, EdgeSet, Scheme, UnitCellLayout, cell_index, slot_of
+from fqec.fermion import GeneratorKind, far_cell_offset, generator_ids, required_parity_table
+from fqec.lattice import (
+    ALL_SHIFTS, CENTER, EdgeSet, Scheme, UnitCellLayout, cell_index, cell_of, slot_of,
+)
 from fqec.search_bruteforce import (
     HoppingCapMode,
     ParetoFront,
     SearchConfig,
     _SearchContext,
     _Universe,
-    _self_commuting,
     brute_force_search,
     derive_subtree_seed,
     dominates,
@@ -240,62 +242,100 @@ def _layout_id(layout):
     return f"{layout.scheme.value}-{layout.edge_set.value}-q{layout.qubits_per_cell}"
 
 
-def _index_of(universe, word):
-    """Universe index of a word: its support's block offset plus its letters
-    read as base-3 digits in ``itertools.product("XYZ")`` order."""
-    support = tuple(word.support_slots())
-    r = 0
-    for slot in support:
-        r = 3 * r + "XYZ".index(word.letter(slot))
-    return universe.offsets[universe.supports.index(support)] + r
+def _anchor_cells(layout, gen):
+    """Cells a generator's support must touch: the centre, and an edge's far cell."""
+    cells = {CENTER}
+    if gen.kind is not GeneratorKind.VERTEX:
+        dx, dy = far_cell_offset(layout, gen)
+        cells.add((CENTER[0] + dx, CENTER[1] + dy))
+    return frozenset(cells)
+
+
+def _static_supports(layout, cells, cap):
+    """Supports of weight 1..cap touching every cell of ``cells``, in
+    ``itertools.combinations`` order by weight."""
+    return [
+        support
+        for w in range(1, cap + 1)
+        for support in itertools.combinations(range(layout.n_slots), w)
+        if cells <= {cell_of(slot, layout)[0] for slot in support}
+    ]
+
+
+def _word(layout, support, letters):
+    word = PauliWord.identity(layout.n_slots)
+    for slot, letter in zip(support, letters):
+        word = word.with_letter(slot, letter)
+    return word
+
+
+def _static_words(layout, cells, cap):
+    """Every word passing the static checks, in enumeration order."""
+    return [
+        _word(layout, support, letters)
+        for support in _static_supports(layout, cells, cap)
+        for letters in itertools.product("XYZ", repeat=len(support))
+    ]
+
+
+def _lookup(universe):
+    """Universe index of each word, keyed by its (x, z) masks."""
+    return {universe.word(index): index for index in range(universe.full.bit_length())}
 
 
 class TestSelfCommutationKernel:
-    """Each level's self-commutation bitset equals a translate-by-translate oracle."""
+    """Each level's universe holds exactly the static-check words that a
+    translate-by-translate oracle finds self-commuting."""
 
     @pytest.mark.parametrize("layout", ALL_LAYOUTS, ids=_layout_id)
     def test_every_cap2_word_matches_oracle(self, layout):
         ctx = _SearchContext(SearchConfig(layout, 2, 2))
         for gi, (gen, universe) in enumerate(zip(ctx.gen_order, ctx.universes)):
-            commuting = ctx.domains[gi]
-            for index in range(universe.full.bit_length()):
-                x, z = universe.word(index)
-                word = PauliWord(x, z, layout.n_slots)
-                assert bool(commuting >> index & 1) == naive_self_commutation_ok(
-                    layout, gen, word
-                ), (gen.name, word)
+            expected = [
+                (word.x_mask, word.z_mask)
+                for word in _static_words(layout, _anchor_cells(layout, gen), 2)
+                if naive_self_commutation_ok(layout, gen, word)
+            ]
+            got = [universe.word(index) for index in range(universe.full.bit_length())]
+            assert got == expected, gen.name
+            assert ctx.domains[gi] == universe.full
 
     @pytest.mark.parametrize("qpc", [1, 2, 3])
     def test_sampled_cap4_words_match_oracle(self, qpc):
-        # The bitset depends on the layout only through qubits per cell and
-        # each level's required row, which the cap-2 test covers for every
-        # level.  So each cap-4 word set (fixed by the cells a generator must
-        # touch) is sampled once, and its words are spread over the levels of
-        # every layout that shares it.
+        # The universe depends on the layout only through qubits per cell
+        # and each level's required row, which the cap-2 test covers for
+        # every level.  So each cap-4 word set (fixed by the cells a
+        # generator must touch) is sampled once, and its words are spread
+        # over the levels of every layout that shares it.
         users: dict[tuple, list] = {}
         for layout in ALL_LAYOUTS:
             if layout.qubits_per_cell != qpc:
                 continue
             ctx = _SearchContext(SearchConfig(layout, 2, 2))
             for gi, gen in enumerate(ctx.gen_order):
-                cells = {CENTER}
-                if gen.kind is not GeneratorKind.VERTEX:
-                    dx, dy = far_cell_offset(layout, gen)
-                    cells.add((CENTER[0] + dx, CENTER[1] + dy))
-                users.setdefault(tuple(sorted(cells)), []).append((ctx, gi))
+                cells = tuple(sorted(_anchor_cells(layout, gen)))
+                users.setdefault(cells, []).append((ctx, gi))
         for cells, levels in sorted(users.items()):
             layout = levels[0][0].layout
-            universe = _Universe(layout, tuple(_cell_mask(layout, c) for c in cells), 4)
-            bitsets = [_self_commuting(universe, ctx.required[gi][gi], qpc) for ctx, gi in levels]
+            supports = _static_supports(layout, frozenset(cells), 4)
+            offsets = list(itertools.accumulate((3 ** len(s) for s in supports), initial=0))
+            masks = tuple(_cell_mask(layout, c) for c in cells)
+            lookups: dict[int, dict] = {}  # one universe per required row
             rng = random.Random(f"{qpc}:{cells}")
-            size = universe.full.bit_length()
-            indices = rng.sample(range(size), min(size, 3000))
+            indices = rng.sample(range(offsets[-1]), min(offsets[-1], 3000))
             for k, index in enumerate(indices):
-                (ctx, gi), commuting = levels[k % len(levels)], bitsets[k % len(levels)]
-                x, z = universe.word(index)
-                word = PauliWord(x, z, layout.n_slots)
-                assert bool(commuting >> index & 1) == naive_self_commutation_ok(
-                    ctx.layout, ctx.gen_order[gi], word
+                ctx, gi = levels[k % len(levels)]
+                required = ctx.required[gi][gi]
+                if required not in lookups:
+                    lookups[required] = _lookup(_Universe(layout, masks, 4, required))
+                block = bisect.bisect_right(offsets, index) - 1
+                r, support = index - offsets[block], supports[block]
+                letters = [
+                    "XYZ"[r // 3 ** (len(support) - 1 - pos) % 3] for pos in range(len(support))
+                ]
+                word = _word(layout, support, letters)
+                assert ((word.x_mask, word.z_mask) in lookups[required]) == (
+                    naive_self_commutation_ok(ctx.layout, ctx.gen_order[gi], word)
                 ), (_layout_id(ctx.layout), ctx.gen_order[gi].name, word)
 
     @pytest.mark.parametrize(
@@ -315,9 +355,9 @@ class TestSelfCommutationKernel:
             .with_letter(slot_of(cells[1], 0, QPC2), letters[1])
             .with_letter(slot_of(CENTER, 1, QPC2), "Z")
         )
-        index = _index_of(ctx.universes[vertex], word)
-        assert ctx.universes[vertex].word(index) == (word.x_mask, word.z_mask)
-        assert bool(ctx.domains[vertex] >> index & 1) is ok
+        index = _lookup(ctx.universes[vertex]).get((word.x_mask, word.z_mask))
+        assert (index is not None) is ok
+        assert index is None or ctx.domains[vertex] >> index & 1
         assert naive_self_commutation_ok(QPC2, ctx.gen_order[vertex], word) is ok
 
     def test_pair_parities_flip_both_signs_of_the_shift(self):
@@ -334,27 +374,31 @@ class TestSelfCommutationKernel:
             (-1, 0), (1, 0),
         ]
         right = [g.name for g in ctx.gen_order].index("edge-right:0")
-        assert ctx.domains[right] >> _index_of(ctx.universes[right], word) & 1
+        assert (word.x_mask, word.z_mask) in _lookup(ctx.universes[right])
 
 
 def _reference_budget_checks(cfg):
-    """Walk the whole tree with self-commutation checked word by word, after
+    """Walk the whole tree on the oracle's candidate lists
+    (``search_candidates``), with self-commutation checked word by word after
     the budget check at level 0, and list (nodes, completions) at every
     budget check; also return the final (nodes, completions).
 
     A run at budget b stops at the first check that finds b nodes: the walk
     up to that check does not depend on the budget."""
-    ctx = _SearchContext(cfg)
-    ctx.domains = [u.full for u in ctx.universes]  # no self-commutation in the domains
-    qpc, n_levels = cfg.layout.qubits_per_cell, len(ctx.gen_order)
+    layout, caps = cfg.layout, (cfg.max_vertex_weight, cfg.max_edge_or_hopping_weight)
+    ctx = _SearchContext(cfg)  # for its hop caps on the assigned prefix
+    required = required_parity_table(layout)
+    qpc, n_levels = layout.qubits_per_cell, len(ctx.gen_order)
     checks, count = [], {"nodes": 0, "completions": 0}
 
     def walk(gi, rng):
-        for index, (x, z) in enumerate(ctx.survivors(gi)):
+        prefix = [PauliWord(x, z, layout.n_slots) for x, z in ctx.assigned]
+        for index, word in enumerate(search_candidates(layout, *caps, prefix)):
+            x, z = word.x_mask, word.z_mask
             if gi == 0:
                 checks.append((count["nodes"], count["completions"]))
                 rng = random.Random(derive_subtree_seed(cfg.rng_seed, index))
-            if self_parities(x, z, qpc) != ctx.required[gi][gi]:
+            if self_parities(x, z, qpc) != required[gi][gi]:
                 continue
             if not ctx.hop_caps_ok(gi, x, z):
                 continue
@@ -362,12 +406,12 @@ def _reference_budget_checks(cfg):
                 continue
             checks.append((count["nodes"], count["completions"]))
             count["nodes"] += 1
-            ctx.assign(x, z)
+            ctx.assigned.append((x, z))
             if gi + 1 == n_levels:
                 count["completions"] += 1
             else:
                 walk(gi + 1, rng)
-            ctx.unassign()
+            ctx.assigned.pop()
 
     walk(0, None)
     return checks, (count["nodes"], count["completions"])
@@ -399,10 +443,23 @@ class TestBudgetSweep:
         # word that fails self-commutation would see the same node count as
         # the next survivor, and one always follows it: the last level-0
         # word is all Z, which commutes with its translates as a vertex must.
+        last = search_candidates(layout, 2, 2, [])[-1]
+        x, z = last.x_mask, last.z_mask
+        assert x == 0 and self_parities(x, z, layout.qubits_per_cell) == (
+            required_parity_table(layout)[0][0]
+        )
+        assert list(_SearchContext(SearchConfig(layout, 2, 2)).survivors(0))[-1] == (x, z)
+
+    @pytest.mark.parametrize("layout", ALL_LAYOUTS, ids=_layout_id)
+    def test_root_index_is_position_among_oracle_candidates(self, layout):
+        # Each level-0 survivor's RNG stream index counts every level-0 word
+        # before it, self-commuting or not.
         ctx = _SearchContext(SearchConfig(layout, 2, 2))
-        unfolded = ctx._ordered(0, ctx.universes[0].full)
-        x, z = ctx.universes[0].word(unfolded.bit_length() - 1)
-        assert x == 0 and ctx.domains[0] >> unfolded.bit_length() - 1 & 1
+        position = {
+            (word.x_mask, word.z_mask): i
+            for i, word in enumerate(search_candidates(layout, 2, 2, []))
+        }
+        assert ctx.root_index == [position[word] for word in ctx.survivors(0)]
 
 
 class TestSearchSoundness:
