@@ -10,13 +10,13 @@ budget runs out.
 Classification is linear.  A syndrome table, built once per call, holds
 for each slot and letter one int whose bit ``j`` is set iff that letter
 anticommutes with translate ``j``; an error's syndrome is the XOR of its
-letters' entries.  Supports come in combinations order, so consecutive
-supports share prefixes: the scan keeps, per prefix length, the set of
-syndromes of every letter choice on the prefix, and rebuilds them, past the
-first slot that changed, only when the prefix changes.  An error on a
-support is undetected iff a last-slot letter's syndrome lies in the set of
-the other slots.  Only on such supports are words built, and only for the
-letter choices whose syndrome is zero; each is tested against the span.
+letters' entries.  Each weight is one depth-first walk over the prefixes
+of its supports, with the syndromes of every letter choice on the prefix
+on the stack.  The last slot is not walked: per-syndrome slot masks and
+centered-end masks give, in one OR and one AND, the ends on which some
+letter completes a zero syndrome.  Only on those supports are words built,
+and only for the zero-syndrome letter choices; each is tested against the
+span.
 
 Translations that fall partially outside the open 3x3 window are excluded
 from the check set (a clipped stabilizer is not a stabilizer), matching the
@@ -31,7 +31,8 @@ re-implementation on dense letter arrays as an independent oracle.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable
+from functools import lru_cache
+from typing import TYPE_CHECKING
 
 from . import lattice
 from .symplectic import LETTER_BITS, PauliWord, SymplecticBasis
@@ -92,13 +93,6 @@ def translated_stabilizers(enc: "EncodingCandidate") -> list[PauliWord]:
     return out
 
 
-def _stabilizer_span(n_slots: int, stabs: Iterable[PauliWord]) -> SymplecticBasis:
-    basis = SymplecticBasis(n_slots)
-    for s in stabs:
-        basis.insert(s)
-    return basis
-
-
 def _syndrome_table(n_slots: int, stabs: list[PauliWord]) -> list[tuple[int, int, int]]:
     """Per slot, the syndromes of X, Y and Z there.
 
@@ -117,100 +111,105 @@ def _syndrome_table(n_slots: int, stabs: list[PauliWord]) -> list[tuple[int, int
     return [(x, x ^ z, z) for x, z in zip(sx, sz)]
 
 
-def _check_set(enc: "EncodingCandidate") -> tuple[list[tuple[int, int, int]], SymplecticBasis]:
-    """Syndrome table and span of the window-translated stabilizers."""
-    n = enc.layout.n_slots
-    stabs = translated_stabilizers(enc)
-    return _syndrome_table(n, stabs), _stabilizer_span(n, stabs)
+# A prefix's cells as one mask: window columns in the low WINDOW bits, rows
+# above them.  A cell bounding box of size b is centered when it starts at
+# (WINDOW - b) // 2: its columns (rows) are {1}, {0, 1}, {0, 2} or {0, 1, 2},
+# the masks 2, 3, 5 and 7.
+_CENTERED = frozenset(c | r << lattice.WINDOW for c in (2, 3, 5, 7) for r in (2, 3, 5, 7))
 
 
-# Column (row) sets of a centered support as bit masks, one bit per window
-# column (row): {1}, {0, 1}, {0, 2} or {0, 1, 2}.  A cell bounding box of
-# size b is centered when it starts at (WINDOW - b) // 2.
-_CENTERED = frozenset((0b010, 0b011, 0b101, 0b111))
+@lru_cache(maxsize=None)
+def _box_tables(qubits_per_cell: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Per slot, its cell's column and row bits; per prefix box, its ends.
 
-
-def canonical_supports(layout, w: int) -> list[tuple[int, ...]]:
-    """Weight-w slot supports, one per translation orbit, centered in the window.
-
-    A support is canonical when its cell bounding box of size (bw, bh)
-    starts at ((WINDOW - bw) // 2, (WINDOW - bh) // 2); every orbit that
-    fits the window has exactly one such placement.  Supports come in
-    ``itertools.combinations`` order.  The walk ORs each slot's column and
-    row bits down the prefix and tests the two sets at the last slot.
+    ``ends[box]`` masks the slots whose addition to a prefix with column
+    and row sets ``box`` leaves the cell bounding box centered.
     """
-    qpc = layout.qubits_per_cell
-    n = layout.n_slots
-    cells = lattice._cells_by_index()
-    cols = [1 << cells[s // qpc][0] for s in range(n)]
-    rows = [1 << cells[s // qpc][1] for s in range(n)]
-    out: list[tuple[int, ...]] = []
-    prefix: list[int] = []
+    cells = [cell for cell in lattice._cells_by_index() for _ in range(qubits_per_cell)]
+    boxes = tuple(1 << x | 1 << lattice.WINDOW + y for x, y in cells)
+    masks = range(1 << 2 * lattice.WINDOW)
+    ends = tuple(sum(1 << s for s, b in enumerate(boxes) if box | b in _CENTERED) for box in masks)
+    return boxes, ends
 
-    def walk(start: int, col: int, row: int) -> None:
-        if len(prefix) == w - 1:
-            for s in range(start, n):
-                if col | cols[s] in _CENTERED and row | rows[s] in _CENTERED:
-                    out.append((*prefix, s))
-            return
-        for s in range(start, n - (w - 1 - len(prefix))):
+
+class _Scan:
+    """The tables of one ``min_distance`` call and the prefix walk over them."""
+
+    def __init__(self, enc: "EncodingCandidate") -> None:
+        n = self.n = enc.layout.n_slots
+        stabs = translated_stabilizers(enc)
+        self.table = _syndrome_table(n, stabs)
+        self.basis = SymplecticBasis(n)
+        for stab in stabs:
+            self.basis.insert(stab)
+        # Syndrome -> mask of the slots that carry a letter of that syndrome.
+        self.at: dict[int, int] = {}
+        for slot, letters in enumerate(self.table):
+            for t in letters:
+                self.at[t] = self.at.get(t, 0) | 1 << slot
+        self.boxes, self.ends = _box_tables(enc.layout.qubits_per_cell)
+
+    def walk(self, w: int, prefix: list[int], syndromes: set[int], box: int) -> bool:
+        """Extend ``prefix`` (letter-choice ``syndromes``, cells ``box``) to the
+        first w - 1 slots of weight-w supports; True once a logical is found."""
+        table, get, boxes, ends = self.table, self.at.get, self.boxes, self.ends
+        for s in range(prefix[-1] + 1 if prefix else 0, self.n - w + len(prefix) + 1):
             prefix.append(s)
-            walk(s + 1, col | cols[s], row | rows[s])
+            if len(prefix) < w - 1:
+                below = {p ^ t for t in table[s] for p in syndromes}
+                if self.walk(w, prefix, below, box | boxes[s]):
+                    return True
+            else:
+                # Last prefix slot: the centered ends, then the zero-syndrome ones.
+                live = ends[box | boxes[s]] >> (s + 1) << (s + 1)
+                if live:
+                    hits = 0
+                    for t in table[s]:
+                        for p in syndromes:
+                            hits |= get(p ^ t, 0)
+                    if hits & live and self.expand(prefix, hits & live):
+                        return True
             prefix.pop()
+        return False
 
-    walk(0, 0, 0)
-    # ``walk`` refers to itself through its closure cell; deleting it breaks
-    # that cycle, so ``out`` is freed as soon as the caller drops it, not at
-    # the next garbage collection.
-    del walk
-    return out
+    def expand(self, prefix: list[int], ends: int) -> bool:
+        """True iff a zero-syndrome word on ``prefix`` plus a slot of ``ends`` is
+        outside the span; words come in support, then ``itertools.product``, order."""
+        table, basis, n = self.table, self.basis, self.n
+        # (syndrome, x, z) of every letter choice on the prefix.
+        choices = [(0, 0, 0)]
+        for slot in prefix:
+            choices = [
+                (s ^ t, x | bx << slot, z | bz << slot)
+                for s, x, z in choices
+                for t, (bx, bz) in zip(table[slot], _XYZ_BITS)
+            ]
+        while ends:
+            end = (ends & -ends).bit_length() - 1
+            ends &= ends - 1
+            for s, x, z in choices:
+                for t, (bx, bz) in zip(table[end], _XYZ_BITS):
+                    if t == s and not basis.contains(PauliWord(x | bx << end, z | bz << end, n)):
+                        return True
+        return False
 
 
 def min_distance(enc: "EncodingCandidate", budget: DistanceBudget) -> DistanceResult:
     """Exact minimum distance up to ``budget.w_max``, else a lower bound.
 
-    Weights are scanned in increasing order, supports in
-    ``canonical_supports`` order.  ``levels[d]`` holds the syndromes of every
-    letter choice on the current support's first ``d`` slots; the levels are
-    rebuilt, from the first slot that changed, only when the support's
-    ``w - 1`` prefix differs from the previous support's.  A letter choice
-    on the last slot completes a zero syndrome iff its syndrome is in
-    ``levels[w - 1]``.  Only then is the support expanded: words are built,
-    in ``itertools.product`` order, for just the letter choices whose
-    syndrome is zero, and the first one outside the span is a logical.
+    Each weight, in increasing order, is one depth-first walk over the
+    first w - 1 slots of its supports, prefix syndrome sets on the stack.
+    At the last prefix slot the centered-end mask skips a prefix with no
+    centered end, and an OR of per-syndrome slot masks finds the ends that
+    complete a zero syndrome.  Words are built only on those supports and
+    only for zero-syndrome letter choices, in ``itertools.product`` order;
+    the first one outside the span is a logical.
     """
-    layout = enc.layout
-    n = layout.n_slots
-    table, basis = _check_set(enc)
-    for w in range(1, min(budget.w_max, n) + 1):
-        last = w - 1
-        levels = [{0}]
-        top = levels[0]
-        prev = (-1,) * last
-        for support in canonical_supports(layout, w):
-            head = support[:last]
-            if head != prev:
-                k = 0
-                while head[k] == prev[k]:
-                    k += 1
-                del levels[k + 1 :]
-                for slot in head[k:]:
-                    levels.append({p ^ t for p in levels[-1] for t in table[slot]})
-                prev = head
-                top = levels[last]
-            end = support[last]
-            if top.isdisjoint(table[end]):
-                continue
-            # (syndrome, x, z) of every letter choice on the prefix.
-            choices = [(0, 0, 0)]
-            for slot in head:
-                choices = [
-                    (s ^ t, x | bx << slot, z | bz << slot)
-                    for s, x, z in choices
-                    for t, (bx, bz) in zip(table[slot], _XYZ_BITS)
-                ]
-            for s, x, z in choices:
-                for t, (bx, bz) in zip(table[end], _XYZ_BITS):
-                    if t == s and not basis.contains(PauliWord(x | bx << end, z | bz << end, n)):
-                        return DistanceResult.exact_distance(w)
+    scan = _Scan(enc)
+    # Weight 1: the centre cell's slots with a zero-syndrome letter.
+    if scan.expand([], scan.ends[0] & scan.at.get(0, 0)):
+        return DistanceResult.exact_distance(1)
+    for w in range(2, min(budget.w_max, scan.n) + 1):
+        if scan.walk(w, [], {0}, 0):
+            return DistanceResult.exact_distance(w)
     return DistanceResult.lower_bound(budget.w_max + 1)

@@ -4,9 +4,10 @@
 letter arrays with no bit packing and no pruning, and ``is_logical``
 classifies one word by the same rule.  ``canonical_supports``
 filters every slot combination by its cell bounding box, where
-``fqec.distance.canonical_supports`` walks prefixes.  ``search_candidates``
-lists the words the brute-force search may try for one generator, straight
-from the rules in the ``fqec.search_bruteforce`` docstring.
+``fqec.distance`` reads each prefix's centered ends from ``_box_tables``.
+``search_candidates`` lists the words the brute-force search may try for
+one generator, straight from the rules in the ``fqec.search_bruteforce``
+docstring.
 ``greedy_layers`` tests the whole layer for every edge, where
 ``fqec.connectivity._planar_layers`` skips the tests whose answer is
 known.  ``naive_validate`` translates one ``PauliWord`` per generator pair

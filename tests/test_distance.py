@@ -1,6 +1,8 @@
 """Exact distance engine and its dense-letter oracle."""
 
+import itertools
 import random
+from collections import Counter
 
 import pytest
 
@@ -9,13 +11,13 @@ from fqec import distance
 from fqec.distance import (
     DistanceBudget,
     DistanceResult,
-    canonical_supports,
     min_distance,
     translated_stabilizers,
 )
 from fqec.encoding import EncodingCandidate, derive_stabilizers
 from fqec.fermion import EDGE_DIRECTIONS, GeneratorKind
-from fqec.lattice import CENTER, EdgeSet, Scheme, UnitCellLayout, cell_of, slot_of
+from fqec.lattice import ALL_SHIFTS, CENTER, EdgeSet, Scheme, UnitCellLayout, cell_of, slot_of
+from fqec.search_bruteforce import SearchConfig, brute_force_search
 from fqec.symplectic import PauliWord
 from oracles import canonical_supports as filtered_supports
 from oracles import hopping_pair, is_logical, naive_min_distance
@@ -137,10 +139,28 @@ class TestMinDistance:
         )
 
 
+def admitted_supports(layout, w: int) -> list[tuple[int, ...]]:
+    """The supports that ``distance._box_tables`` admits, in walk order.
+
+    Each ``itertools.combinations`` prefix of w - 1 slots is followed by
+    the end slots of its centered-end mask past its last slot.
+    """
+    boxes, ends = distance._box_tables(layout.qubits_per_cell)
+    out = []
+    for prefix in itertools.combinations(range(layout.n_slots), w - 1):
+        box = 0
+        for s in prefix:
+            box |= boxes[s]
+        start = prefix[-1] + 1 if prefix else 0
+        live = ends[box] >> start << start
+        out.extend((*prefix, end) for end in range(layout.n_slots) if live >> end & 1)
+    return out
+
+
 class TestCanonicalSupports:
     def test_weight_one_is_central(self):
         layout = UnitCellLayout(2, Scheme.TWO_GRIDS, EdgeSet.NN_SQUARE)
-        supports = canonical_supports(layout, 1)
+        supports = admitted_supports(layout, 1)
         cells = {cell_of(s, layout)[0] for (s,) in supports}
         assert cells == {(1, 1)}
 
@@ -149,16 +169,12 @@ class TestCanonicalSupports:
         for qpc in range(1, 7):
             layout = UnitCellLayout(qpc, Scheme.TWO_GRIDS, EdgeSet.NN_SQUARE)
             for w in range(1, 5 if qpc <= 4 else 4):
-                assert canonical_supports(layout, w) == filtered_supports(layout, w), (qpc, w)
+                assert admitted_supports(layout, w) == filtered_supports(layout, w), (qpc, w)
 
     def test_one_per_orbit(self):
         # Every weight-2 support is a translate of exactly one canonical one.
         layout = UnitCellLayout(1, Scheme.TWO_GRIDS, EdgeSet.NN_SQUARE)
-        canonical = set(canonical_supports(layout, 2))
-        import itertools
-
-        from fqec.lattice import ALL_SHIFTS
-
+        canonical = set(admitted_supports(layout, 2))
         for support in itertools.combinations(range(layout.n_slots), 2):
             cells = [cell_of(s, layout)[0] for s in support]
             hits = 0
@@ -266,3 +282,24 @@ class TestDifferential:
             fast = min_distance(enc, DistanceBudget(3))
             slow = naive_min_distance(enc, 3)
             assert fast == slow
+
+    def test_criterion_5_completions_agree(self):
+        # Every completion of the criterion-5 desk search, collected with the
+        # distance filter off, in the order found.
+        cfg = SearchConfig(
+            layout=UnitCellLayout(2, Scheme.TWO_GRIDS, EdgeSet.NN_SQUARE),
+            max_vertex_weight=4,
+            max_edge_or_hopping_weight=4,
+            min_distance_filter=1,
+            acceptance_probability=1.0,
+            rng_seed=1,
+        )
+        completions = []
+        brute_force_search(cfg, lambda enc: None, completion_sink=completions.append)
+        assert len(completions) == 274
+        histogram = Counter()
+        for enc in completions:
+            fast = min_distance(enc, DistanceBudget(3))
+            assert fast == naive_min_distance(enc, 3)
+            histogram[str(fast)] += 1
+        assert histogram == {"Exact 1": 214, "Exact 2": 60}
